@@ -10,12 +10,14 @@ attainers realize its endpoints.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 ARGMIN_TOL = 1e-9
 _FLAT_TOL = 1e-12
+_HULL_BLOCK = 1 << 18     # pairwise slopes per hull block: 2 MB per temporary
 
 
 def tilde_gradient(f, space):
@@ -126,50 +128,24 @@ class ArgminSet:
 
 
 def _segment_argmin(u0, v0, u1, v1, t, cost):
-    """Argmin interval and value of v0 + s (u - u0) + t alpha(u/t) on
-    [u0, u1] for one envelope segment."""
+    """Argmin intervals [lo, hi] and values of v0 + s (u - u0) + t alpha(u/t)
+    on [u0, u1], for arrays of envelope segments of slope s."""
     s = (v1 - v0) / (u1 - u0)
-
-    def phi(u):
-        return v0 + s * (u - u0) + t * cost.eval(u / t)
-
-    if s >= 0.0:
-        return u0, u0, phi(u0)
-
-    if cost.kind == "quadratic":
-        ustar = min(max(-s * t, u0), u1)
-        return ustar, ustar, phi(ustar)
-
-    if cost.kind == "power":
-        g0 = s + cost.deriv(u0 / t)
-        g1 = s + cost.deriv(u1 / t)
-        if g0 >= 0.0:
-            return u0, u0, phi(u0)
-        if g1 <= 0.0:
-            return u1, u1, phi(u1)
-        lo, hi = u0, u1
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if s + cost.deriv(mid / t) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        ustar = 0.5 * (lo + hi)
-        return ustar, ustar, phi(ustar)
-
-    # qlin: derivative saturates at l = 2 a h, so the stationary set can be
-    # a ray once the slope matches -l exactly
-    l = cost.conjugate_domain_bound()
-    if -s > l * (1.0 + _FLAT_TOL):
-        return u1, u1, phi(u1)
-    if abs(-s - l) <= _FLAT_TOL * (1.0 + l):
-        knee = t * cost.h
-        if knee >= u1:
-            return u1, u1, phi(u1)
-        lo = max(u0, knee)
-        return lo, u1, phi(lo)
-    ustar = min(max(t * (-s) / (2 * cost.a), u0), u1)
-    return ustar, ustar, phi(ustar)
+    down = np.maximum(-s, 0.0)      # 0 on rising segments: clipped to u0
+    if cost.kind == "qlin":
+        # the derivative saturates at l = 2 a h, so the stationary set can
+        # be a ray once the slope matches -l exactly
+        l = cost.conjugate_domain_bound()
+        lo = np.clip(t * down / (2 * cost.a), u0, u1)
+        lo = np.where(-s > l * (1.0 + _FLAT_TOL), u1, lo)
+        flat = (s < 0.0) & (np.abs(-s - l) <= _FLAT_TOL * (1.0 + l))
+        lo = np.where(flat, np.clip(t * cost.h, u0, u1), lo)
+        hi = np.where(flat, u1, lo)
+    else:
+        # s + alpha'(u/t) = 0 at u = t (-s)^(1/(p-1))
+        p = cost.p if cost.kind == "power" else 2.0
+        lo = hi = np.clip(t * down ** (1.0 / (p - 1.0)), u0, u1)
+    return lo, hi, v0 + s * (lo - u0) + t * cost.eval(lo / t)
 
 
 def _witness_for(env, u):
@@ -189,48 +165,129 @@ def _witness_for(env, u):
     return ((env.attainers[k], env.attainers[k + 1]), (float(lam), float(1.0 - lam)))
 
 
+def _padded(offsets):
+    """Lay flat profiles (offsets[x]:offsets[x+1]) out as matrix rows:
+    the index matrix, each row padded with its last index, and the mask
+    of real entries."""
+    m = np.diff(offsets)
+    k = np.arange(m.max())
+    return offsets[:-1, None] + np.minimum(k, m[:, None] - 1), k < m[:, None]
+
+
+def _hull_vertices(U, V, offsets):
+    """Indices of the lower convex hull vertices of many profiles at once.
+
+    Profile x holds the points (U, V)[offsets[x]:offsets[x+1]], U strictly
+    increasing.  Every vertex is a strict running minimum of V from the
+    left or from the right, which leaves few candidates.  Among them,
+    point k is a vertex iff max_{i<k} slope(i, k) < min_{j>k} slope(k, j);
+    the end points always are.  Candidates go in row blocks of at most
+    _HULL_BLOCK pairwise slopes.
+    """
+    pad, real = _padded(offsets)
+    pv = np.where(real, V[pad], np.inf)
+    edge = np.full((len(pv), 1), np.inf)
+    prefix = np.minimum.accumulate(pv, axis=1)
+    suffix = np.minimum.accumulate(pv[:, ::-1], axis=1)[:, ::-1]
+    record = real & ((pv < np.hstack([edge, prefix[:, :-1]]))
+                     | (pv < np.hstack([suffix[:, 1:], edge])))
+    cand = pad[record]
+    pad, real = _padded(np.concatenate([[0], np.cumsum(record.sum(axis=1))]))
+    pu, pv = U[cand][pad], V[cand][pad]
+    size = pad.shape[1]
+    upper = np.triu(np.ones((size, size), dtype=bool), 1)
+    vertex = np.empty(pad.shape, dtype=bool)
+    step = max(1, _HULL_BLOCK // (size * size))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r in range(0, len(pad), step):
+            bu, bv = pu[r:r + step], pv[r:r + step]
+            # slope[x, i, j] = slope of the chord from point i to point j
+            slope = (bv[:, None, :] - bv[:, :, None]) / (bu[:, None, :] - bu[:, :, None])
+            left = np.where(upper, slope, -np.inf).max(axis=1)
+            right = np.where(upper, slope, np.inf).min(axis=2)
+            vertex[r:r + step] = left < right
+    # the last point meets only its own padding copies: 0/0 on the right
+    vertex[np.arange(len(pad)), real.sum(axis=1) - 1] = True
+    return cand[pad[real & vertex]]
+
+
 @dataclass
 class WeakInfConv:
+    """Values of Q~_t f and, per point, the argmin interval [u_min, u_max]
+    of mean distances and u_star, the minimizer on the strictly best
+    envelope segment.  `argmin` (ArgminSet per point, with witnesses) and
+    `envelopes` (EnvelopeProfile per point) are built on first access."""
+
     values: np.ndarray
-    argmin: list            # ArgminSet per point
-    envelopes: list         # EnvelopeProfile per point
+    u_min: np.ndarray
+    u_max: np.ndarray
+    u_star: np.ndarray
+    _f: np.ndarray = field(repr=False)
+    _space: object = field(repr=False)
+    _profile: tuple = field(repr=False)     # (U, V): all distance profiles
+    _hull: np.ndarray = field(repr=False)   # profile indices of hull vertices
+
+    @functools.cached_property
+    def envelopes(self):
+        order, starts = self._space.distance_groups
+        U, V = self._profile
+        hull = self._hull
+        fs = self._f[order].ravel()
+        # the first point in stable order attaining each sphere's minimum
+        hits = np.flatnonzero(fs == np.repeat(V, np.diff(starts, append=fs.size)))
+        att = order.ravel()[hits[np.searchsorted(hits, starts[hull])]]
+        cut = np.flatnonzero(np.diff(starts[hull] // self._space.n)) + 1
+        return [EnvelopeProfile(x=x, us=us, vs=vs, attainers=a.tolist())
+                for x, (us, vs, a) in enumerate(zip(
+                    np.split(U[hull], cut), np.split(V[hull], cut), np.split(att, cut)))]
+
+    @functools.cached_property
+    def argmin(self):
+        out = []
+        for env, lo, hi in zip(self.envelopes, self.u_min.tolist(), self.u_max.tolist()):
+            wit = [_witness_for(env, lo)]
+            if hi > lo:
+                wit.append(_witness_for(env, hi))
+            out.append(ArgminSet(lo, hi, wit))
+        return out
 
 
 def weak_infconv(f, t, cost, space):
     """Weak inf-convolution: per point, the minimum over probability
     measures p of integral(f dp) + t alpha(mean distance / t).  Returns
-    values, per-point argmin intervals and the envelopes used."""
+    values, per-point argmin intervals and the envelopes used.
+
+    All points are processed together: the sphere minima of f come from
+    the space's cached row orders, then every lower convex envelope and
+    every segment minimizer is computed at once."""
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
-    f = np.asarray(f, dtype=float)
+    f = np.array(f, dtype=float)    # a copy: the lazy envelopes read it later
     n = space.n
-    values = np.empty(n)
-    argmins = []
-    envs = []
-    for x in range(n):
-        env = envelope(f, x, space)
-        envs.append(env)
-        if len(env.us) == 1:
-            values[x] = env.vs[0]
-            argmins.append(ArgminSet(0.0, 0.0, [_witness_for(env, 0.0)]))
-            continue
-        best_val = np.inf
-        pieces = []
-        for k in range(len(env.us) - 1):
-            lo, hi, val = _segment_argmin(env.us[k], env.vs[k],
-                                          env.us[k + 1], env.vs[k + 1], t, cost)
-            pieces.append((lo, hi, val))
-            if val < best_val:
-                best_val = val
-        tol = ARGMIN_TOL * (1.0 + abs(best_val))
-        lo = min(p[0] for p in pieces if p[2] <= best_val + tol)
-        hi = max(p[1] for p in pieces if p[2] <= best_val + tol)
-        wit = [_witness_for(env, lo)]
-        if hi > lo:
-            wit.append(_witness_for(env, hi))
-        values[x] = best_val
-        argmins.append(ArgminSet(float(lo), float(hi), wit))
-    return WeakInfConv(values, argmins, envs)
+    order, starts = space.distance_groups
+    rows = starts // n
+    U = space.dist[rows, order.ravel()[starts]]
+    V = np.minimum.reduceat(f[order].ravel(), starts)
+    hull = _hull_vertices(U, V, np.searchsorted(rows, np.arange(n + 1)))
+    if n == 1:
+        return WeakInfConv(V.copy(), np.zeros(1), np.zeros(1), np.zeros(1),
+                           f, space, (U, V), hull)
+    # segments join consecutive hull vertices of one point
+    hrow = rows[hull]
+    same = hrow[1:] == hrow[:-1]
+    a, b = hull[:-1][same], hull[1:][same]
+    seg_row = hrow[:-1][same]
+    lo, hi, val = _segment_argmin(U[a], V[a], U[b], V[b], t, cost)
+    first = np.searchsorted(seg_row, np.arange(n))
+    best = np.minimum.reduceat(val, first)
+    keep = val <= (best + ARGMIN_TOL * (1.0 + np.abs(best)))[seg_row]
+    u_min = np.minimum.reduceat(np.where(keep, lo, np.inf), first)
+    u_max = np.maximum.reduceat(np.where(keep, hi, -np.inf), first)
+    # beta(u/t) is constant on the true argmin set, but a segment within
+    # ARGMIN_TOL of the best can stretch [u_min, u_max] past it
+    at_best = np.flatnonzero(val == best[seg_row])
+    u_star = lo[at_best[np.searchsorted(at_best, first)]]
+    return WeakInfConv(best, u_min, u_max, u_star, f, space, (U, V), hull)
 
 
 def weak_infconv_bruteforce(f, t, cost, space, grid=33, rounds=12):
@@ -273,11 +330,12 @@ def classical_infconv(f, t, cost, space):
 
 
 def time_derivative(f, t, cost, space, result=None):
-    """Exact t-derivative of the weak inf-convolution: -beta(u/t) for u in
-    the argmin interval (beta is constant on it)."""
+    """Exact t-derivative of the weak inf-convolution: -beta(u/t) at the
+    minimizer u of the best envelope segment (beta is constant on the
+    argmin set)."""
     if result is None:
         result = weak_infconv(f, t, cost, space)
-    return np.array([-cost.beta(a.u_min / t) for a in result.argmin])
+    return -cost.beta(result.u_star / t)
 
 
 def gradient_envelope_identity(f, x, space):

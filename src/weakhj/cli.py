@@ -7,9 +7,10 @@ wrapped in a run manifest (command, input digests, seed, version, wall
 time); `--csv` flattens the result payload into key,value rows instead.
 
 Exit codes: 0 success or verified; 2 verified violation, with the
-witness in the payload; 1 input error, with a machine-readable error
-object.  The environment variable WEAKHJ_THREADS caps worker counts in
-the library; `--seed` (default 0) fixes every stochastic sweep.
+witness in the payload; 1 input error or solver failure, with a
+machine-readable error object.  The environment variable
+WEAKHJ_THREADS caps worker counts in the library; `--seed` (default 0)
+fixes every stochastic sweep.
 """
 
 from __future__ import annotations
@@ -36,7 +37,12 @@ from .reports import (
     two_point_report,
 )
 from .space import MetricViolation, build_example, load_space
-from .transport import check_transport_entropy, transport_oracle_small, weak_transport_cost
+from .transport import (
+    SolverError,
+    check_transport_entropy,
+    transport_oracle_small,
+    weak_transport_cost,
+)
 
 __version__ = "0.1.0"
 
@@ -206,7 +212,7 @@ def _cmd_qtilde(args, inputs):
         "cost": cost.label(),
         "values": [float(v) for v in res.values],
         "derivative": [float(v) for v in dq],
-        "argmin": [[a.u_min, a.u_max] for a in res.argmin],
+        "argmin": [[lo, hi] for lo, hi in zip(res.u_min.tolist(), res.u_max.tolist())],
     }
     code = 0
     if args.oracle:
@@ -437,6 +443,10 @@ def run(argv=None):
         return 1
     except ValueError as exc:
         error = {"error": {"type": "value", "message": str(exc), "detail": {}}}
+        print(json.dumps(error, indent=2, default=_json_default))
+        return 1
+    except SolverError as exc:
+        error = {"error": {"type": "solver", "message": str(exc), "detail": {}}}
         print(json.dumps(error, indent=2, default=_json_default))
         return 1
     manifest = {

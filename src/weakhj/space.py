@@ -8,6 +8,7 @@ weighted graphs via all-pairs shortest paths or from an explicit matrix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -16,7 +17,10 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-HYPERCUBE_MAX_N = 14
+# 2^n points need 16 * 4^n bytes: the float distance matrix plus the int64
+# row sort order `MetricSpace.distance_groups` caches.  n = 12 takes 268 MB;
+# n = 13 would take 1.07 GB.
+HYPERCUBE_MAX_N = 12
 SYMMETRIC_GROUP_MAX_N = 5
 METRIC_TOL = 1e-9
 
@@ -82,6 +86,24 @@ class MetricSpace:
     @property
     def n(self):
         return self.dist.shape[0]
+
+    @functools.cached_property
+    def distance_groups(self):
+        """(order, starts): the stable sort order of every row of `dist`,
+        and the flat indices into the row-sorted matrix where a run of
+        equal distances begins.  A distance within 1e-12 (relative) of its
+        run's first distance joins the run, the rule `distance_profile`
+        applies.  `dist` is read-only, so the cache never goes stale."""
+        n = self.n
+        order = np.argsort(self.dist, axis=1, kind="stable")
+        ds = np.take_along_axis(self.dist, order, axis=1)
+        new = np.ones((n, n), dtype=bool)
+        first = ds[:, 0]
+        for k in range(1, n):
+            u = ds[:, k]
+            new[:, k] = u - first > 1e-12 * (1.0 + u)
+            first = np.where(new[:, k], u, first)
+        return order, np.flatnonzero(new)
 
     @property
     def diameter(self):
@@ -196,7 +218,9 @@ def build_example(kind, n=None):
         if n is None or n < 1:
             raise ValueError("hypercube requires n >= 1")
         if n > HYPERCUBE_MAX_N:
-            raise CapacityError(f"hypercube capped at n={HYPERCUBE_MAX_N}, got {n}")
+            raise CapacityError(
+                f"hypercube capped at n={HYPERCUBE_MAX_N}, got {n}: its distance "
+                f"matrix and row-order cache need {16 * 4 ** n} bytes")
         return MetricSpace(_hypercube_dist(n))
     if kind == "symmetric_group":
         if n is None or n < 2:

@@ -114,6 +114,10 @@ class TransportResult:
 # linear transport subproblem: successive shortest paths with potentials
 
 
+class SolverError(RuntimeError):
+    """The linear transport subproblem failed to reach a feasible plan."""
+
+
 def _ot_plan(costs, supply, demand, max_aug=None):
     """Exact minimum-cost transportation plan between two histograms."""
     ns, nd = costs.shape
@@ -162,14 +166,14 @@ def _ot_plan(costs, supply, demand, max_aug=None):
                 par_s = np.where(upd, i, par_s)
         sinks = np.flatnonzero(done_d & (dem > 1e-15))
         if sinks.size == 0:
-            raise RuntimeError("transport subproblem: no augmenting path")
+            raise SolverError("transport subproblem: no augmenting path")
         t = int(sinks[np.argmin(dd[sinks])])
         y = t
         amount = dem[t]
         path = []
         while True:
             if len(path) > 2 * (ns + nd) + 4:
-                raise RuntimeError("transport subproblem: path traces a cycle")
+                raise SolverError("transport subproblem: path traces a cycle")
             x = int(par_d[y])
             path.append((x, y, True))
             if par_s[x] == -1:
@@ -192,7 +196,7 @@ def _ot_plan(costs, supply, demand, max_aug=None):
         pot_s += np.minimum(ds, dmax)
         pot_d += np.minimum(dd, dmax)
     if sup.max() > 1e-10 or dem.max() > 1e-10:
-        raise RuntimeError(
+        raise SolverError(
             f"transport subproblem not converged: residuals {sup.max():.3e} {dem.max():.3e}"
         )
     return flow

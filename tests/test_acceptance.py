@@ -173,6 +173,7 @@ def test_gradient_equals_envelope_slope_exhaustively():
     assert worst <= 1e-10
 
 
+@pytest.mark.slow
 def test_transport_fixture_and_small_space_oracle():
     sp2 = build_example("two_point")
     fixture = weak_transport_cost(
@@ -204,6 +205,7 @@ def test_transport_fixture_and_small_space_oracle():
     assert worst <= 1e-6
 
 
+@pytest.mark.slow
 def test_entropy_transport_dual_chain_coheres():
     for kind, n in CHAIN_SPACES:
         sp = build_example(kind, n)

@@ -9,6 +9,8 @@ import pytest
 
 from randspaces import example_spaces, random_connected_space
 from weakhj.calculus import (
+    ARGMIN_TOL,
+    _segment_argmin,
     classical_infconv,
     convex_envelope,
     distance_profile,
@@ -21,7 +23,7 @@ from weakhj.calculus import (
     weak_infconv_bruteforce,
 )
 from weakhj.cost import power, quadratic, quadratic_linear
-from weakhj.space import build_example, build_from_graph
+from weakhj.space import MetricSpace, build_example, build_from_graph
 
 COSTS = [quadratic(), power(3.0), power(1.5), quadratic_linear(0.25, 2.0),
          quadratic_linear(1.0, 1.0)]
@@ -409,3 +411,110 @@ def test_profile_merges_near_equal_distances():
     us, vs, _ = distance_profile(np.array([5.0, 2.0, 1.0]), 0, sp)
     np.testing.assert_array_equal(us, [0.0, 1.0])
     assert vs[1] == 1.0  # minimum over the merged sphere
+
+
+# -- batched operator against the per-point reference ---------------------------
+
+def _segment_argmin_loop(u0, v0, u1, v1, t, cost):
+    """Per-segment reference: closed forms for quadratic and qlin costs, an
+    80-step bisection on s + alpha'(u/t) for power costs."""
+    s = (v1 - v0) / (u1 - u0)
+
+    def phi(u):
+        return v0 + s * (u - u0) + t * cost.eval(u / t)
+
+    if s >= 0.0:
+        return u0, u0, phi(u0)
+    if cost.kind == "quadratic":
+        u = min(max(-s * t, u0), u1)
+        return u, u, phi(u)
+    if cost.kind == "power":
+        if s + cost.deriv(u0 / t) >= 0.0:
+            return u0, u0, phi(u0)
+        if s + cost.deriv(u1 / t) <= 0.0:
+            return u1, u1, phi(u1)
+        lo, hi = u0, u1
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if s + cost.deriv(mid / t) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        u = 0.5 * (lo + hi)
+        return u, u, phi(u)
+    l = cost.conjugate_domain_bound()
+    if -s > l * (1.0 + 1e-12):
+        return u1, u1, phi(u1)
+    if abs(-s - l) <= 1e-12 * (1.0 + l):
+        knee = t * cost.h
+        if knee >= u1:
+            return u1, u1, phi(u1)
+        lo = max(u0, knee)
+        return lo, u1, phi(lo)
+    u = min(max(t * (-s) / (2 * cost.a), u0), u1)
+    return u, u, phi(u)
+
+
+def _weak_infconv_loop(f, t, cost, sp):
+    """Point-by-point reference: envelope(), then every segment in turn."""
+    values, intervals = [], []
+    for x in range(sp.n):
+        env = envelope(f, x, sp)
+        if len(env.us) == 1:
+            values.append(env.vs[0])
+            intervals.append((0.0, 0.0))
+            continue
+        pieces = [_segment_argmin_loop(env.us[k], env.vs[k], env.us[k + 1],
+                                       env.vs[k + 1], t, cost)
+                  for k in range(len(env.us) - 1)]
+        best = min(p[2] for p in pieces)
+        tol = ARGMIN_TOL * (1.0 + abs(best))
+        values.append(best)
+        intervals.append((min(p[0] for p in pieces if p[2] <= best + tol),
+                          max(p[1] for p in pieces if p[2] <= best + tol)))
+    return np.array(values), np.array(intervals)
+
+
+EQUIVALENCE_COSTS = [quadratic(), power(1.5), power(3.0), power(4.0),
+                     quadratic_linear(0.25, 2.0), quadratic_linear(1.0, 1.0)]
+
+
+def _equivalence_spaces():
+    rng = np.random.default_rng(61)
+    spaces = [random_connected_space(rng, n_max=20) for _ in range(50)]
+    spaces += [MetricSpace(np.zeros((1, 1))), build_example("two_point"),
+               build_example("hypercube", 3), build_example("path", 32),
+               build_example("symmetric_group", 4)]
+    return spaces
+
+
+def test_batched_matches_per_point_reference():
+    """Envelopes equal envelope() exactly (ties included, via integer f);
+    values and argmin intervals equal the point-by-point loop to 1e-12;
+    interior segment minimizers are stationary to 1e-10."""
+    rng = np.random.default_rng(67)
+    for sp in _equivalence_spaces():
+        gauss = 2.0 * rng.standard_normal(sp.n)
+        for f in (gauss, np.round(gauss)):
+            for cost in EQUIVALENCE_COSTS:
+                t = float(rng.uniform(0.1, 2.0))
+                r = weak_infconv(f, t, cost, sp)
+                for x, env in enumerate(r.envelopes):
+                    ref = envelope(f, x, sp)
+                    np.testing.assert_array_equal(env.us, ref.us)
+                    np.testing.assert_array_equal(env.vs, ref.vs)
+                    assert env.attainers == ref.attainers
+                    if len(env.us) < 2:
+                        continue
+                    s = np.diff(env.vs) / np.diff(env.us)
+                    u, _, _ = _segment_argmin(env.us[:-1], env.vs[:-1], env.us[1:],
+                                              env.vs[1:], t, cost)
+                    inner = (u > env.us[:-1]) & (u < env.us[1:])
+                    stationary = s[inner] + cost.deriv(u[inner] / t)
+                    assert np.all(np.abs(stationary) <= 1e-10)
+                values, intervals = _weak_infconv_loop(f, t, cost, sp)
+                np.testing.assert_allclose(r.values, values, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(r.u_min, intervals[:, 0], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(r.u_max, intervals[:, 1], rtol=0, atol=1e-12)
+                assert [(a.u_min, a.u_max) for a in r.argmin] == list(
+                    zip(r.u_min.tolist(), r.u_max.tolist()))

@@ -247,6 +247,27 @@ def test_capacity_error_is_input_error(capsys):
     assert "capped" in doc["error"]["message"]
 
 
+def test_capacity_error_states_bytes(capsys):
+    code, doc = invoke_json(capsys, "space", "--example", "hypercube:13")
+    assert code == 1
+    assert doc["error"]["type"] == "input"
+    assert f"{16 * 4 ** 13} bytes" in doc["error"]["message"]
+
+
+def test_solver_failure_is_error_object(capsys, monkeypatch):
+    import weakhj.transport as transport
+
+    def fail(*args, **kwargs):
+        raise transport.SolverError("transport subproblem: no augmenting path")
+
+    monkeypatch.setattr(transport, "_ot_plan", fail)
+    code, doc = invoke_json(capsys, "ttilde", "--space", "two_point",
+                            "--nu", "1,0", "--mu", "0.5,0.5")
+    assert code == 1
+    assert doc["error"]["type"] == "solver"
+    assert "no augmenting path" in doc["error"]["message"]
+
+
 def test_thin_adapter_imports_no_numerics():
     import weakhj.cli as cli
     lines = [l for l in open(cli.__file__) if l.startswith(("import ", "from "))]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from weakhj.calculus import weak_infconv
+from weakhj.calculus import time_derivative, weak_infconv
 from weakhj.cost import power, quadratic, quadratic_linear
 from weakhj.hj import (
     ObstructionWitness,
@@ -14,7 +14,7 @@ from weakhj.hj import (
     hj_residual_grid,
     obstruction_search,
 )
-from weakhj.space import MetricSpace, build_example
+from weakhj.space import MetricSpace, build_example, validate_metric
 
 TWO_POINT = build_example("two_point")
 
@@ -299,3 +299,66 @@ def test_boundary_consistent_with_small_t_values():
     t = 2.0 ** -20
     raw = (weak_infconv(f, t, quadratic(), space).values - f) / t
     np.testing.assert_allclose(rep.limits, raw, rtol=0, atol=1e-5)
+
+
+# Two 8-point weighted-graph spaces where a hull segment within ARGMIN_TOL
+# of the best one pulled the exact derivative to its clipped end point:
+# the residual came out at +2e-5 and +1.2e-5 instead of <= 0.
+NEAR_TIE_CASES = [
+    (  # power:p=3, t = 0.7, point 0
+        [[0.0, 0.9036144447101131, 0.32716155214002396, 0.7802577327091252,
+          0.9965242229644362, 1.5562268010619436, 2.0101599887745882, 1.747406293836594],
+         [0.9036144447101131, 0.0, 1.230775996850137, 1.6838721774192384,
+          1.7553756296739194, 1.195673051576412, 1.6496062392890565, 0.8437918491264809],
+         [0.32716155214002396, 1.230775996850137, 0.0, 0.4530961805691013,
+          0.6693626708244123, 1.2290652489219196, 1.682998436634564, 1.5809464513718507],
+         [0.7802577327091252, 1.6838721774192384, 0.4530961805691013, 0.0,
+          0.49144053206805816, 1.0511431101655655, 1.50507629787821, 1.4030243126154966],
+         [0.9965242229644362, 1.7553756296739194, 0.6693626708244123, 0.49144053206805816,
+          0.0, 0.5597025780975073, 1.0136357658101518, 0.9115837805474385],
+         [1.5562268010619436, 1.195673051576412, 1.2290652489219196, 1.0511431101655655,
+          0.5597025780975073, 0.0, 0.45393318771264446, 0.3518812024499311],
+         [2.0101599887745882, 1.6496062392890565, 1.682998436634564, 1.50507629787821,
+          1.0136357658101518, 0.45393318771264446, 0.0, 0.8058143901625756],
+         [1.747406293836594, 0.8437918491264809, 1.5809464513718507, 1.4030243126154966,
+          0.9115837805474385, 0.3518812024499311, 0.8058143901625756, 0.0]],
+        [-0.41408846328801385, -0.8781644977815684, -1.0958518119475718,
+         -0.4637673484379292, 1.449768672438061, -0.5916817583804542,
+         -1.4635543412424137, -0.09813232997615441],
+        power(3), 0.7, 0,
+    ),
+    (  # quadratic, t = 1.7, point 5
+        [[0.0, 0.3099993647849928, 1.3376122239727313, 0.5912116878993723,
+          2.3760004978221367, 1.7631371536701952, 0.9564084793726648, 1.0745871529190705],
+         [0.3099993647849928, 0.0, 1.647611588757724, 0.9012110526843651,
+          2.6859998626071295, 2.073136518455188, 0.646409114587672, 1.3845865177040633],
+         [1.3376122239727313, 1.647611588757724, 0.0, 1.9288239118721036,
+          3.713612721794868, 3.1007493776429262, 2.294020703345396, 2.4121993768918015],
+         [0.5912116878993723, 0.9012110526843651, 1.9288239118721036, 0.0,
+          1.7847888099227645, 1.171925465770823, 0.9617155777406696, 0.4833754650196981],
+         [2.3760004978221367, 2.6859998626071295, 3.713612721794868, 1.7847888099227645,
+          0.0, 2.9567142756935874, 2.746504387663434, 2.2681642749424626],
+         [1.7631371536701952, 2.073136518455188, 3.1007493776429262, 1.171925465770823,
+          2.9567142756935874, 0.0, 2.1336410435114925, 1.655300930790521],
+         [0.9564084793726648, 0.646409114587672, 2.294020703345396, 0.9617155777406696,
+          2.746504387663434, 2.1336410435114925, 0.0, 1.4450910427603678],
+         [1.0745871529190705, 1.3845865177040633, 2.4121993768918015, 0.4833754650196981,
+          2.2681642749424626, 1.655300930790521, 1.4450910427603678, 0.0]],
+        [1.2723310955674956, -0.24657198209791245, 3.088635881897217,
+         -0.9364749947247629, -2.1668814693250322, 0.49176816461532297,
+         -0.5849461764153788, -1.2031117163334835],
+        quadratic(), 1.7, 5,
+    ),
+]
+
+
+@pytest.mark.parametrize("dist, f, cost, t, x", NEAR_TIE_CASES,
+                         ids=["power3-t0.7-x0", "quadratic-t1.7-x5"])
+def test_residual_holds_when_segments_nearly_tie(dist, f, cost, t, x):
+    space = validate_metric(dist)
+    f = np.array(f)
+    assert hj_residual(f, t, cost, space).holds
+    eps = 1e-6
+    fd = (weak_infconv(f, t + eps, cost, space).values
+          - weak_infconv(f, t - eps, cost, space).values) / (2 * eps)
+    assert abs(time_derivative(f, t, cost, space)[x] - fd[x]) <= 1e-7

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from randspaces import example_spaces, random_connected_space
+from weakhj.calculus import distance_profile
 from weakhj.space import (
     CapacityError,
     KernelMatrix,
@@ -108,6 +109,26 @@ def test_capacity_limits():
         build_example("hypercube", 15)
     with pytest.raises(CapacityError):
         build_example("symmetric_group", 6)
+
+
+def test_hypercube_cap_states_memory_needed():
+    # 2^13 points: an 8192^2 float matrix plus its int64 row order
+    with pytest.raises(CapacityError, match=f"{16 * 4 ** 13} bytes"):
+        build_example("hypercube", 13)
+
+
+def test_distance_groups_match_profiles():
+    rng = np.random.default_rng(71)
+    spaces = example_spaces() + [random_connected_space(rng) for _ in range(20)]
+    spaces.append(build_from_graph(3, [(0, 1, 1.0), (0, 2, 1.0 + 1e-14)]))
+    for sp in spaces:
+        order, starts = sp.distance_groups
+        assert sp.distance_groups is sp.distance_groups
+        ds = np.take_along_axis(sp.dist, order, axis=1).ravel()
+        for x in range(sp.n):
+            firsts = starts[(starts >= x * sp.n) & (starts < (x + 1) * sp.n)]
+            us, _, _ = distance_profile(np.zeros(sp.n), x, sp)
+            np.testing.assert_array_equal(ds[firsts], us)
 
 
 def test_validate_metric_accepts_and_reports():

@@ -138,6 +138,7 @@ def test_null_mass_kernel_rows_are_diagonal():
     assert_allclose(kern[0].sum(), 1.0, atol=1e-12)
 
 
+@pytest.mark.slow
 def test_weak_cost_matches_small_space_oracle():
     rng = np.random.default_rng(3)
     for k in range(100):
@@ -167,6 +168,7 @@ def test_oracle_fixture_and_size_limit():
         )
 
 
+@pytest.mark.slow
 def test_jensen_dominated_by_classical_cost():
     # averaging distances before applying the convex cost can only help
     rng = np.random.default_rng(17)
