@@ -43,7 +43,6 @@ from .hj import (
     ObstructionWitness,
     hj_boundary,
     hj_residual,
-    hj_residual_grid,
     obstruction_search,
 )
 from .space import (
@@ -79,7 +78,7 @@ __all__ = [
     "time_derivative", "tilde_gradient", "lipschitz_seminorm", "envelope",
     "gradient_envelope_identity",
     "HJReport", "ObstructionWitness", "ObstructionResult", "hj_residual",
-    "hj_residual_grid", "hj_boundary", "obstruction_search",
+    "hj_boundary", "obstruction_search",
     "Coupling", "TransportResult", "weak_transport_cost",
     "classical_transport_cost", "transport_oracle_small", "relative_entropy",
     "check_transport_entropy", "dual_check", "dual_sweep",

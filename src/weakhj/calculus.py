@@ -20,29 +20,28 @@ _FLAT_TOL = 1e-12
 _HULL_BLOCK = 1 << 18     # pairwise slopes per hull block: 2 MB per temporary
 
 
+def _gradient_argmax(f, space):
+    """(|grad f|, ys): the nonlinear gradient and, per point x, the
+    competitor y maximizing (f(x) - f(y)) / d(x, y); the first index wins
+    ties."""
+    f = np.asarray(f, dtype=float)
+    n = space.n
+    off = ~np.eye(n, dtype=bool)
+    slopes = np.where(off, (f[:, None] - f[None, :]) / np.where(off, space.dist, 1.0), -np.inf)
+    ys = np.argmax(slopes, axis=1)
+    g = np.maximum(slopes[np.arange(n), ys], 0.0) if n > 1 else np.zeros(n)
+    return g, ys
+
+
 def tilde_gradient(f, space):
     """|grad f|(x) = max_y max(0, f(x) - f(y)) / d(x, y); zero when x has no
     strictly lower point (0/0 convention at global minima)."""
-    f = np.asarray(f, dtype=float)
-    d = space.dist
-    n = space.n
-    if n == 1:
-        return np.zeros(1)
-    off = ~np.eye(n, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slopes = np.where(off, (f[:, None] - f[None, :]) / d, 0.0)
-    return np.maximum(slopes, 0.0).max(axis=1)
+    return _gradient_argmax(f, space)[0]
 
 
 def lipschitz_seminorm(f, space):
-    f = np.asarray(f, dtype=float)
-    n = space.n
-    if n == 1:
-        return 0.0
-    off = ~np.eye(n, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        slopes = np.where(off, np.abs(f[:, None] - f[None, :]) / space.dist, 0.0)
-    return float(slopes.max())
+    """max_{x != y} |f(x) - f(y)| / d(x, y), the largest nonlinear gradient."""
+    return float(_gradient_argmax(f, space)[0].max())
 
 
 def distance_profile(f, x, space):
@@ -143,8 +142,7 @@ def _segment_argmin(u0, v0, u1, v1, t, cost):
         hi = np.where(flat, u1, lo)
     else:
         # s + alpha'(u/t) = 0 at u = t (-s)^(1/(p-1))
-        p = cost.p if cost.kind == "power" else 2.0
-        lo = hi = np.clip(t * down ** (1.0 / (p - 1.0)), u0, u1)
+        lo = hi = np.clip(t * down ** (1.0 / (cost.p - 1.0)), u0, u1)
     return lo, hi, v0 + s * (lo - u0) + t * cost.eval(lo / t)
 
 

@@ -8,9 +8,8 @@ time); `--csv` flattens the result payload into key,value rows instead.
 
 Exit codes: 0 success or verified; 2 verified violation, with the
 witness in the payload; 1 input error or solver failure, with a
-machine-readable error object.  The environment variable
-WEAKHJ_THREADS caps worker counts in the library; `--seed` (default 0)
-fixes every stochastic sweep.
+machine-readable error object.  `--seed` (default 0) fixes every
+stochastic sweep.
 """
 
 from __future__ import annotations
@@ -22,13 +21,14 @@ import os
 import sys
 import time
 
+from . import __version__
 from .calculus import (
     time_derivative,
     weak_infconv,
     weak_infconv_bruteforce,
 )
 from .cost import parse_cost_spec
-from .hj import hj_boundary, hj_residual_grid, obstruction_search
+from .hj import hj_boundary, hj_residual, obstruction_search
 from .reports import (
     chain_report,
     constants_report,
@@ -44,8 +44,6 @@ from .transport import (
     weak_transport_cost,
 )
 
-__version__ = "0.1.0"
-
 _EXAMPLE_KINDS = ("two_point", "path", "cycle", "complete", "hypercube",
                   "symmetric_group")
 
@@ -56,6 +54,13 @@ class InputError(ValueError):
     def __init__(self, message, detail=None):
         super().__init__(message)
         self.detail = detail or {}
+
+
+# error type and detail attribute per exception class, most specific first
+_ERRORS = ((InputError, "input", "detail"),
+           (MetricViolation, "metric-violation", "witness"),
+           (ValueError, "value", None),
+           (SolverError, "solver", None))
 
 
 def _json_default(obj):
@@ -230,7 +235,7 @@ def _cmd_hj_verify(args, inputs):
     f = _load_vector_arg(args.f, "f", inputs)
     cost = _parse_cost(args.cost)
     grid = _parse_grid(args.t_grid)
-    slices = hj_residual_grid(f, grid, cost, space)
+    slices = [hj_residual(f, t, cost, space) for t in grid]
     payload = {"cost": cost.label(),
                "slices": [s.to_json_dict() for s in slices]}
     holds = all(s.holds for s in slices)
@@ -330,7 +335,7 @@ def _build_parser():
         prog="weakhj",
         description=("Weak inf-convolution semigroups, transport costs and "
                      "functional-inequality verifiers on finite metric "
-                     "spaces. JSON on stdout; WEAKHJ_THREADS caps workers."))
+                     "spaces. JSON on stdout."))
     parser.add_argument("--version", action="version", version=__version__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
@@ -431,22 +436,10 @@ def run(argv=None):
     start = time.monotonic()
     try:
         payload, code = args.handler(args, inputs)
-    except InputError as exc:
-        error = {"error": {"type": "input", "message": str(exc),
-                           "detail": exc.detail}}
-        print(json.dumps(error, indent=2, default=_json_default))
-        return 1
-    except MetricViolation as exc:
-        error = {"error": {"type": "metric-violation", "message": str(exc),
-                           "detail": exc.witness}}
-        print(json.dumps(error, indent=2, default=_json_default))
-        return 1
-    except ValueError as exc:
-        error = {"error": {"type": "value", "message": str(exc), "detail": {}}}
-        print(json.dumps(error, indent=2, default=_json_default))
-        return 1
-    except SolverError as exc:
-        error = {"error": {"type": "solver", "message": str(exc), "detail": {}}}
+    except (ValueError, SolverError) as exc:
+        kind, field = next((k, a) for cls, k, a in _ERRORS if isinstance(exc, cls))
+        error = {"error": {"type": kind, "message": str(exc),
+                           "detail": getattr(exc, field) if field else {}}}
         print(json.dumps(error, indent=2, default=_json_default))
         return 1
     manifest = {

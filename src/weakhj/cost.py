@@ -1,9 +1,8 @@
 """Convex cost functions for inf-convolution operators.
 
-Three variants on [0, infinity):
+Two formulas on [0, infinity):
 
-* quadratic        x^2 / 2
-* power(p)         x^p / p          (p > 1)
+* power(p)         x^p / p          (p > 1); quadratic is p = 2
 * qlin(a, h)       a x^2 on [0, h], then the tangent line 2 a h x - a h^2
 
 All are convex, increasing, C^1, with alpha(0) = alpha'(0) = 0.  Conjugate
@@ -29,6 +28,8 @@ class CostFunction:
     def __post_init__(self):
         if self.kind not in ("quadratic", "power", "qlin"):
             raise ValueError(f"unknown cost kind {self.kind!r}")
+        if self.kind == "quadratic" and self.p != 2.0:
+            raise ValueError(f"quadratic cost has p = 2, got {self.p}")
         if self.kind == "power" and not self.p > 1:
             raise ValueError(f"power cost needs p > 1, got {self.p}")
         if self.kind == "qlin" and not (self.a > 0 and self.h > 0 and math.isfinite(self.h)):
@@ -38,38 +39,32 @@ class CostFunction:
 
     def eval(self, x):
         x = np.asarray(x, dtype=float)
-        if self.kind == "quadratic":
-            out = 0.5 * x * x
-        elif self.kind == "power":
-            out = x ** self.p / self.p
-        else:
+        if self.kind == "qlin":
             a, h = self.a, self.h
             out = np.where(x <= h, a * x * x, 2 * a * h * x - a * h * h)
+        else:
+            out = x ** self.p / self.p
         return out if out.ndim else float(out)
 
     def deriv(self, x):
         x = np.asarray(x, dtype=float)
-        if self.kind == "quadratic":
-            out = x
-        elif self.kind == "power":
-            out = x ** (self.p - 1.0)
-        else:
+        if self.kind == "qlin":
             a, h = self.a, self.h
             out = np.where(x <= h, 2 * a * x, 2 * a * h)
+        else:
+            out = x ** (self.p - 1.0)
         return out if out.ndim else float(out)
 
     def conjugate(self, y):
         """Legendre transform sup_{x>=0} (xy - alpha(x)); +inf past the
         slope bound of the qlin variant."""
         y = np.asarray(y, dtype=float)
-        if self.kind == "quadratic":
-            out = 0.5 * y * y
-        elif self.kind == "power":
-            q = self.p / (self.p - 1.0)
-            out = y ** q / q
-        else:
+        if self.kind == "qlin":
             a, h = self.a, self.h
             out = np.where(y <= 2 * a * h, y * y / (4 * a), math.inf)
+        else:
+            q = self.p / (self.p - 1.0)
+            out = y ** q / q
         return out if out.ndim else float(out)
 
     def beta(self, x):
@@ -82,14 +77,12 @@ class CostFunction:
     def conjugate_deriv(self, y):
         """Derivative of the conjugate; +inf past the qlin slope bound."""
         y = np.asarray(y, dtype=float)
-        if self.kind == "quadratic":
-            out = y + 0.0
-        elif self.kind == "power":
-            q = self.p / (self.p - 1.0)
-            out = y ** (q - 1.0)
-        else:
+        if self.kind == "qlin":
             a, h = self.a, self.h
             out = np.where(y <= 2 * a * h, y / (2 * a), math.inf)
+        else:
+            q = self.p / (self.p - 1.0)
+            out = y ** (q - 1.0)
         return out if out.ndim else float(out)
 
     def conjugate_domain_bound(self):
@@ -100,11 +93,11 @@ class CostFunction:
         return math.inf
 
     def label(self):
-        if self.kind == "quadratic":
-            return "quadratic"
         if self.kind == "power":
             return f"power:p={self.p:g}"
-        return f"qlin:a={self.a:g},h={self.h:g}"
+        if self.kind == "qlin":
+            return f"qlin:a={self.a:g},h={self.h:g}"
+        return self.kind
 
 
 def quadratic():

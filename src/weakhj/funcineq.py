@@ -17,13 +17,11 @@ constant.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import lipschitz_seminorm, tilde_gradient, weak_infconv
+from .calculus import _gradient_argmax, lipschitz_seminorm, tilde_gradient, weak_infconv
 from .cost import CostFunction, quadratic
 from .space import as_function, as_measure, check_detailed_balance, kernel_moment_L
 
@@ -136,7 +134,7 @@ class InequalityReport:
 
     `best_ratio` is the largest LHS/RHS ratio found and `witness` the
     function (or measure) achieving it.  The verdict is "violated" only
-    when the witness re-evaluates above `constant` + 1e-9.
+    when the witness re-evaluates above `constant` + RATIO_SLACK.
     """
 
     inequality: str
@@ -168,33 +166,13 @@ class InequalityReport:
         }
 
 
-def _verdict(ratio, constant):
+def verdict(ratio, constant):
+    """The verdict of a report whose best ratio is tested against `constant`."""
     return "violated" if ratio > constant + RATIO_SLACK else "certified-no-violation"
-
-
-def worker_count():
-    """Parallel workers for estimator restarts (WEAKHJ_THREADS, default 1)."""
-    raw = os.environ.get("WEAKHJ_THREADS", "1")
-    try:
-        k = int(raw)
-    except ValueError:
-        k = 1
-    return max(k, 1)
 
 
 # ---------------------------------------------------------------------------
 # subgradient ascent machinery
-
-
-def _gradient_with_argmax(f, space):
-    # competitor y maximizing (f(x)-f(y))/d(x,y); first index wins ties
-    d = space.dist
-    n = f.size
-    off = ~np.eye(n, dtype=bool)
-    slopes = np.where(off, (f[:, None] - f[None, :]) / np.where(off, d, 1.0), -np.inf)
-    ys = np.argmax(slopes, axis=1)
-    g = np.maximum(slopes[np.arange(n), ys], 0.0) if n > 1 else np.zeros(n)
-    return g, ys
 
 
 def _seed_function(rng, space, scale):
@@ -232,27 +210,14 @@ def _ascend(value_and_grad, f0, iterations, range_target):
     return best_r, best_f
 
 
-def _run_restarts(value_and_grad, space, restarts, seed, fix_amplitude, scale_scan):
-    children = np.random.SeedSequence(seed).spawn(restarts)
-
-    def one(k):
-        rng = np.random.default_rng(children[k])
-        f0 = _seed_function(rng, space, _RESTART_SCALES[k % len(_RESTART_SCALES)])
-        target = float(np.ptp(f0)) if fix_amplitude else None
-        if target == 0.0:
-            target = None
-        return _ascend(value_and_grad, f0, _ITERATIONS, target)
-
-    workers = worker_count()
-    if workers > 1 and restarts > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(restarts)))
-    else:
-        results = [one(k) for k in range(restarts)]
-
+def _run_restarts(value_and_grad, space, restarts, seed, scale_scan):
+    # each restart ascends at the amplitude of its seed function
     best_r = -np.inf
     best_f = None
-    for r, fb in results:  # restart order keeps the merge deterministic
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
+        rng = np.random.default_rng(child)
+        f0 = _seed_function(rng, space, _RESTART_SCALES[k % len(_RESTART_SCALES)])
+        r, fb = _ascend(value_and_grad, f0, _ITERATIONS, float(np.ptp(f0)) or None)
         if r > best_r:
             best_r, best_f = r, fb
     if scale_scan and best_f is not None and np.ptp(best_f) > 0:
@@ -268,7 +233,7 @@ def _poincare_value_and_grad(mu, space):
     d = space.dist
 
     def vg(f):
-        g, ys = _gradient_with_argmax(f, space)
+        g, ys = _gradient_argmax(f, space)
         energy = float(mu @ g ** 2)
         if energy <= 1e-300:
             return -np.inf, -f
@@ -290,7 +255,7 @@ def _mlsi_value_and_grad(mu, cost, sign, space):
     def vg(f):
         if np.ptp(f) == 0:
             return -np.inf, f
-        g, ys = _gradient_with_argmax(sign * f, space)
+        g, ys = _gradient_argmax(sign * f, space)
         conj = cost.conjugate(g)
         if not np.all(np.isfinite(conj)):
             return -np.inf, -f
@@ -334,10 +299,10 @@ def poincare_estimate(mu, space, restarts=64, seed=0):
     details = {"diameter": diameter}
     if np.count_nonzero(mu) <= 1:
         return InequalityReport(
-            "poincare", bound, 0.0, None, "certified-no-violation", restarts, 0, seed, details
+            "poincare", bound, 0.0, None, verdict(0.0, bound), restarts, 0, seed, details
         )
     ratio, witness = _run_restarts(
-        _poincare_value_and_grad(mu, space), space, restarts, seed, True, False
+        _poincare_value_and_grad(mu, space), space, restarts, seed, False
     )
     ratio = max(ratio, 0.0)
     return InequalityReport(
@@ -345,7 +310,7 @@ def poincare_estimate(mu, space, restarts=64, seed=0):
         bound,
         ratio,
         witness,
-        _verdict(ratio, bound),
+        verdict(ratio, bound),
         restarts,
         restarts * _ITERATIONS,
         seed,
@@ -367,7 +332,7 @@ def mlsi_verify(mu, C, cost, type="I", space=None, restarts=64, seed=0):
     mu = as_measure(mu, space.n)
     sign = 1.0 if type == "I" else -1.0
     ratio, witness = _run_restarts(
-        _mlsi_value_and_grad(mu, cost, sign, space), space, restarts, seed, True, True
+        _mlsi_value_and_grad(mu, cost, sign, space), space, restarts, seed, True
     )
     ratio = max(ratio, 0.0)
     return InequalityReport(
@@ -375,7 +340,7 @@ def mlsi_verify(mu, C, cost, type="I", space=None, restarts=64, seed=0):
         float(C),
         ratio,
         witness if ratio > 0 else None,
-        _verdict(ratio, C),
+        verdict(ratio, C),
         restarts,
         restarts * _ITERATIONS,
         seed,
@@ -444,7 +409,7 @@ def toto_bridge_check(mu, K, space, samples=200, seed=0):
         bound,
         best,
         witness,
-        _verdict(best, bound),
+        verdict(best, bound),
         1,
         samples,
         seed,
@@ -632,7 +597,7 @@ def herbst_tail_check(mu, C, space, samples=200, seed=0):
         1.0,
         best,
         witness,
-        _verdict(best, 1.0),
+        verdict(best, 1.0),
         1,
         samples,
         seed,

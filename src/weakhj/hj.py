@@ -118,11 +118,6 @@ def hj_residual(f, t, cost, space):
     )
 
 
-def hj_residual_grid(f, t_grid, cost, space):
-    """One residual slice per t; order follows `t_grid`."""
-    return [hj_residual(f, t, cost, space) for t in t_grid]
-
-
 def hj_boundary(f, cost, space, t_sequence=None):
     """Small-time identity lim (Q~_t f(x) - f(x))/t = -alpha*(|grad f|(x)).
 

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .calculus import weak_infconv
-from .funcineq import RATIO_SLACK, InequalityReport, _verdict
+from .funcineq import InequalityReport, verdict
 from .space import as_function, as_measure
 
 MARGINAL_TOL = 1e-10
@@ -118,7 +118,7 @@ class SolverError(RuntimeError):
     """The linear transport subproblem failed to reach a feasible plan."""
 
 
-def _ot_plan(costs, supply, demand, max_aug=None):
+def _ot_plan(costs, supply, demand):
     """Exact minimum-cost transportation plan between two histograms."""
     ns, nd = costs.shape
     sup = np.array(supply, dtype=float)
@@ -126,9 +126,7 @@ def _ot_plan(costs, supply, demand, max_aug=None):
     flow = np.zeros((ns, nd))
     pot_s = np.zeros(ns)
     pot_d = np.zeros(nd)
-    if max_aug is None:
-        max_aug = 40 * (ns + nd) + 200
-    for _ in range(max_aug):
+    for _ in range(40 * (ns + nd) + 200):
         active = sup > 1e-15
         if not active.any():
             break
@@ -474,7 +472,7 @@ def check_transport_entropy(
         float(C),
         best,
         witness,
-        _verdict(certified, C),
+        verdict(certified, C),
         1,
         evaluated,
         seed,
@@ -532,8 +530,8 @@ def dual_sweep(mu, C, cost, space, n_samples=1000, seed=0):
             row = space.dist[center]
             radii = np.unique(row)
             phi = scale * (row <= float(rng.choice(radii[:-1] if radii.size > 1 else radii))).astype(float)
-        verdict = dual_check(mu, C, phi, cost, space)
-        log_ratio = verdict["log_lhs"] - verdict["log_rhs"]
+        check = dual_check(mu, C, phi, cost, space)
+        log_ratio = check["log_lhs"] - check["log_rhs"]
         if log_ratio > best_log:
             best_log, witness = log_ratio, phi
     ratio = math.exp(min(best_log, 700.0)) if math.isfinite(best_log) else 0.0
@@ -542,7 +540,7 @@ def dual_sweep(mu, C, cost, space, n_samples=1000, seed=0):
         1.0,
         ratio,
         witness,
-        "violated" if best_log > RATIO_SLACK else "certified-no-violation",
+        verdict(best_log, 0.0),
         1,
         n_samples,
         seed,

@@ -268,6 +268,15 @@ def test_solver_failure_is_error_object(capsys, monkeypatch):
     assert "no augmenting path" in doc["error"]["message"]
 
 
+def test_library_value_error_is_error_object(capsys):
+    code, doc = invoke_json(capsys, "qtilde", "--space", "two_point",
+                            "--f", "1,0", "--t", "0")
+    assert code == 1
+    assert doc == {"error": {"type": "value",
+                             "message": "t must be positive, got 0.0",
+                             "detail": {}}}
+
+
 def test_thin_adapter_imports_no_numerics():
     import weakhj.cli as cli
     lines = [l for l in open(cli.__file__) if l.startswith(("import ", "from "))]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from weakhj.cost import parse_cost_spec, power, quadratic, quadratic_linear
+from weakhj.cost import CostFunction, parse_cost_spec, power, quadratic, quadratic_linear
 
 ALL_COSTS = [
     quadratic(),
@@ -134,6 +134,21 @@ def test_parameter_validation():
         quadratic_linear(1.0, 0.0)
     with pytest.raises(ValueError):
         quadratic_linear(1.0, math.inf)
+
+
+def test_quadratic_is_power_two_exactly():
+    q, p2 = quadratic(), power(2)
+    grid = np.concatenate([[0.0], np.logspace(-8, 3, 2001)])
+    for name in ("eval", "deriv", "conjugate", "conjugate_deriv", "beta"):
+        a, b = getattr(q, name), getattr(p2, name)
+        assert np.array_equal(a(grid), b(grid)), name
+        assert [a(float(x)) for x in grid] == [b(float(x)) for x in grid], name
+
+
+def test_quadratic_rejects_other_exponents():
+    with pytest.raises(ValueError, match="p = 2"):
+        CostFunction("quadratic", p=3)
+    assert CostFunction("quadratic", p=2).label() == "quadratic"
 
 
 def test_parse_cost_spec():

@@ -434,14 +434,10 @@ def test_report_serialization():
     assert not rep.violated
 
 
-def test_estimators_are_reproducible(monkeypatch):
+def test_estimators_are_reproducible():
     sp = build_example("hypercube", n=2)
     mu = uniform_measure(4)
     a = poincare_estimate(mu, sp, restarts=16, seed=5)
     b = poincare_estimate(mu, sp, restarts=16, seed=5)
     assert a.best_ratio == b.best_ratio
     assert np.array_equal(a.witness, b.witness)
-    monkeypatch.setenv("WEAKHJ_THREADS", "3")
-    c = poincare_estimate(mu, sp, restarts=16, seed=5)
-    assert c.best_ratio == a.best_ratio
-    assert np.array_equal(c.witness, a.witness)

@@ -11,7 +11,6 @@ from weakhj.hj import (
     ObstructionWitness,
     hj_boundary,
     hj_residual,
-    hj_residual_grid,
     obstruction_search,
 )
 from weakhj.space import MetricSpace, build_example, validate_metric
@@ -35,6 +34,7 @@ class ShrunkDomain:
     consistent cost can reach after smoothing."""
 
     kind = "quadratic"
+    p = 2.0
 
     def __init__(self):
         self._q = quadratic()
@@ -108,15 +108,6 @@ def test_residual_rejects_nonpositive_t():
         hj_residual([1.0, 0.0], 0.0, quadratic(), TWO_POINT)
     with pytest.raises(ValueError, match="positive"):
         hj_residual([1.0, 0.0], -0.5, quadratic(), TWO_POINT)
-
-
-def test_residual_grid_matches_slices():
-    grid = [0.1, 0.5, 1.0]
-    reps = hj_residual_grid([1.0, 0.0], grid, quadratic(), TWO_POINT)
-    assert [r.t for r in reps] == grid
-    for t, rep in zip(grid, reps):
-        single = hj_residual([1.0, 0.0], t, quadratic(), TWO_POINT)
-        np.testing.assert_array_equal(rep.residuals, single.residuals)
 
 
 def test_residual_conjugate_blowup_is_hard_violation():
