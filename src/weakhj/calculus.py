@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .space import as_function
+
 ARGMIN_TOL = 1e-9
 _FLAT_TOL = 1e-12
 _HULL_BLOCK = 1 << 18     # pairwise slopes per hull block: 2 MB per temporary
@@ -36,12 +38,12 @@ def _gradient_argmax(f, space):
 def tilde_gradient(f, space):
     """|grad f|(x) = max_y max(0, f(x) - f(y)) / d(x, y); zero when x has no
     strictly lower point (0/0 convention at global minima)."""
-    return _gradient_argmax(f, space)[0]
+    return _gradient_argmax(as_function(f, space.n), space)[0]
 
 
 def lipschitz_seminorm(f, space):
     """max_{x != y} |f(x) - f(y)| / d(x, y), the largest nonlinear gradient."""
-    return float(_gradient_argmax(f, space)[0].max())
+    return float(tilde_gradient(f, space).max())
 
 
 def distance_profile(f, x, space):
@@ -93,10 +95,6 @@ class EnvelopeProfile:
     vs: np.ndarray          # envelope values at breakpoints
     attainers: list         # point index realizing each breakpoint value
 
-    @property
-    def domain_max(self):
-        return float(self.us[-1])
-
     def value(self, u):
         return np.interp(u, self.us, self.vs)
 
@@ -110,7 +108,7 @@ class EnvelopeProfile:
 
 
 def envelope(f, x, space):
-    us, vs, att = distance_profile(f, x, space)
+    us, vs, att = distance_profile(as_function(f, space.n), x, space)
     hull = convex_envelope(us, vs)
     return EnvelopeProfile(x=x, us=us[hull], vs=vs[hull],
                            attainers=[att[k] for k in hull])
@@ -260,7 +258,7 @@ def weak_infconv(f, t, cost, space):
     every segment minimizer is computed at once."""
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
-    f = np.array(f, dtype=float)    # a copy: the lazy envelopes read it later
+    f = as_function(f, space.n).copy()  # the lazy envelopes read it later
     n = space.n
     order, starts = space.distance_groups
     rows = starts // n
@@ -293,7 +291,7 @@ def weak_infconv_bruteforce(f, t, cost, space, grid=33, rounds=12):
     uniform weight grid, adaptively refined around the best weight."""
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
-    f = np.asarray(f, dtype=float)
+    f = as_function(f, space.n)
     n = space.n
     base = np.linspace(0.0, 1.0, grid)
     out = np.empty(n)
@@ -323,7 +321,7 @@ def classical_infconv(f, t, cost, space):
     """Point-mass inf-convolution min_y f(y) + t alpha(d(x,y)/t)."""
     if t <= 0:
         raise ValueError(f"t must be positive, got {t}")
-    f = np.asarray(f, dtype=float)
+    f = as_function(f, space.n)
     return np.min(f[None, :] + t * cost.eval(space.dist / t), axis=1)
 
 
@@ -342,7 +340,7 @@ def gradient_envelope_identity(f, x, space):
     They agree except possibly when x is the unique global minimizer, where
     the gradient is 0 while the slope stays positive.
     """
-    f = np.asarray(f, dtype=float)
+    f = as_function(f, space.n)
     g = float(tilde_gradient(f, space)[x])
     s0 = envelope(f, x, space).first_slope()
     mins = np.flatnonzero(f <= f.min())

@@ -5,6 +5,7 @@ calls one library entry point and serializes the returned report.  No
 numeric logic lives here.  Output is a single JSON document on stdout
 wrapped in a run manifest (command, input digests, seed, version, wall
 time); `--csv` flattens the result payload into key,value rows instead.
+Both go through `space.jsonable`, so a non-finite number prints as null.
 
 Exit codes: 0 success or verified; 2 verified violation, with the
 witness in the payload; 1 input error or solver failure, with a
@@ -15,6 +16,7 @@ stochastic sweep.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -36,7 +38,7 @@ from .reports import (
     symmetric_group_report,
     two_point_report,
 )
-from .space import MetricViolation, build_example, load_space
+from .space import MetricViolation, build_example, jsonable, load_space
 from .transport import (
     SolverError,
     check_transport_entropy,
@@ -61,15 +63,6 @@ _ERRORS = ((InputError, "input", "detail"),
            (MetricViolation, "metric-violation", "witness"),
            (ValueError, "value", None),
            (SolverError, "solver", None))
-
-
-def _json_default(obj):
-    # library payloads are plain dicts, but a numeric scalar type from a
-    # vectorized backend may leak through; coerce rather than crash
-    try:
-        return float(obj)
-    except (TypeError, ValueError):
-        return str(obj)
 
 
 def _digest_bytes(data):
@@ -120,21 +113,27 @@ def _load_space_arg(spec, inputs):
         raise InputError(str(exc)) from exc
 
 
+def _numbers(items, message):
+    """`items` as a list of floats; InputError(message) if one is not a
+    number."""
+    try:
+        return list(map(float, items))
+    except (TypeError, ValueError):
+        raise InputError(message) from None
+
+
 def _load_vector_arg(spec, name, inputs):
     """A vector argument is a JSON file holding a list, or an inline
     comma-separated list of numbers."""
     if os.path.isfile(spec):
         obj, digest = _read_json(spec)
         inputs[name] = digest
+        message = f"{name} file {spec} must hold a JSON list of numbers"
         if not isinstance(obj, list):
-            raise InputError(f"{name} file {spec} must hold a JSON list")
-        return [float(v) for v in obj]
-    try:
-        values = [float(v) for v in spec.split(",")]
-    except ValueError:
-        raise InputError(
-            f"{name} {spec!r} is neither a file nor a comma-separated "
-            "list of numbers") from None
+            raise InputError(message)
+        return _numbers(obj, message)
+    values = _numbers(spec.split(","), f"{name} {spec!r} is neither a file "
+                      "nor a comma-separated list of numbers")
     inputs[name] = _digest_obj(values)
     return values
 
@@ -145,19 +144,13 @@ def _parse_grid(spec):
         parts = spec.split(":")
         if len(parts) != 3:
             raise InputError(f"grid {spec!r} must be start:stop:step")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError:
-            raise InputError(f"non-numeric grid bound in {spec!r}") from None
+        start, stop, step = _numbers(parts, f"non-numeric grid bound in {spec!r}")
         if step <= 0 or stop < start:
             raise InputError(f"empty grid {spec!r}")
         count = int(round((stop - start) / step))
         grid = [start + i * step for i in range(count + 1)]
         return [t for t in grid if t <= stop + 1e-12]
-    try:
-        return [float(v) for v in spec.split(",")]
-    except ValueError:
-        raise InputError(f"bad grid {spec!r}") from None
+    return _numbers(spec.split(","), f"bad grid {spec!r}")
 
 
 def _parse_cost(spec):
@@ -215,15 +208,15 @@ def _cmd_qtilde(args, inputs):
     payload = {
         "t": args.t,
         "cost": cost.label(),
-        "values": [float(v) for v in res.values],
-        "derivative": [float(v) for v in dq],
-        "argmin": [[lo, hi] for lo, hi in zip(res.u_min.tolist(), res.u_max.tolist())],
+        "values": res.values,
+        "derivative": dq,
+        "argmin": list(zip(res.u_min, res.u_max)),
     }
     code = 0
     if args.oracle:
         ref = weak_infconv_bruteforce(f, args.t, cost, space)
-        err = max(abs(float(a) - float(b)) for a, b in zip(res.values, ref))
-        payload["oracle_values"] = [float(v) for v in ref]
+        err = float(abs(res.values - ref).max())
+        payload["oracle_values"] = ref
         payload["oracle_max_error"] = err
         if err > 1e-8:
             code = 2
@@ -272,7 +265,7 @@ def _cmd_ttilde(args, inputs):
         "gap": res.gap,
         "iterations": res.iterations,
         "converged": res.converged,
-        "coupling": [[float(v) for v in row] for row in res.coupling.matrix],
+        "coupling": res.coupling.matrix,
     }
     code = 0
     if args.oracle:
@@ -330,6 +323,7 @@ def _cmd_examples(args, inputs):
 # parser
 
 
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="weakhj",
@@ -440,7 +434,7 @@ def run(argv=None):
         kind, field = next((k, a) for cls, k, a in _ERRORS if isinstance(exc, cls))
         error = {"error": {"type": kind, "message": str(exc),
                            "detail": getattr(exc, field) if field else {}}}
-        print(json.dumps(error, indent=2, default=_json_default))
+        print(json.dumps(jsonable(error), indent=2))
         return 1
     manifest = {
         "command": args.command,
@@ -450,10 +444,10 @@ def run(argv=None):
         "wall_time_s": round(time.monotonic() - start, 6),
     }
     if getattr(args, "csv", False):
-        sys.stdout.write(_to_csv(payload))
+        sys.stdout.write(_to_csv(jsonable(payload)))
     else:
-        print(json.dumps({"manifest": manifest, "result": payload},
-              indent=2, default=_json_default))
+        print(json.dumps(jsonable({"manifest": manifest, "result": payload}),
+                         indent=2))
     return code
 
 

@@ -17,13 +17,13 @@ constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .calculus import _gradient_argmax, lipschitz_seminorm, tilde_gradient, weak_infconv
 from .cost import CostFunction, quadratic
-from .space import as_function, as_measure, check_detailed_balance, kernel_moment_L
+from .space import as_function, as_measure, check_detailed_balance, jsonable, kernel_moment_L
 
 RATIO_SLACK = 1e-9
 
@@ -152,18 +152,7 @@ class InequalityReport:
         return self.verdict == "violated"
 
     def to_json_dict(self):
-        w = None if self.witness is None else [float(v) for v in np.ravel(self.witness)]
-        return {
-            "inequality": self.inequality,
-            "constant": self.constant,
-            "best_ratio": self.best_ratio,
-            "witness": w,
-            "verdict": self.verdict,
-            "restarts": self.restarts,
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "details": dict(self.details),
-        }
+        return jsonable(asdict(self))
 
 
 def verdict(ratio, constant):

@@ -14,13 +14,13 @@ mappings D_t can be a semigroup on a connected space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .calculus import tilde_gradient, time_derivative, weak_infconv
 from .cost import quadratic
-from .space import as_function
+from .space import as_function, jsonable
 
 RESIDUAL_TOL = 1e-9
 BOUNDARY_TOL = 1e-6
@@ -30,10 +30,13 @@ OBSTRUCTION_TOL = 1e-6
 _DEFAULT_BOUNDARY_TS = tuple(2.0 ** -k for k in range(3, 21))
 _DEFAULT_OBSTRUCTION_TS = (0.25, 0.5, 1.0)
 
-
-def _json_floats(a):
-    # NaN/inf are not valid JSON scalars
-    return [float(v) if math.isfinite(v) else None for v in np.ravel(a)]
+# the fields an HJReport of each kind serialises, in JSON key order
+_REPORT_FIELDS = {
+    "residual": ("kind", "cost", "holds", "t", "residuals", "max_residual",
+                 "conjugate_infinite"),
+    "boundary": ("kind", "cost", "holds", "limits", "targets", "errors",
+                 "max_error", "excluded"),
+}
 
 
 @dataclass
@@ -63,22 +66,7 @@ class HJReport:
     excluded: tuple = ()
 
     def to_json_dict(self):
-        out = {"kind": self.kind, "cost": self.cost, "holds": bool(self.holds)}
-        if self.kind == "residual":
-            out["t"] = self.t
-            out["residuals"] = _json_floats(self.residuals)
-            out["max_residual"] = (float(self.max_residual)
-                                   if math.isfinite(self.max_residual) else None)
-            out["conjugate_infinite"] = list(self.conjugate_infinite)
-        else:
-            out["limits"] = _json_floats(self.limits)
-            out["targets"] = _json_floats(self.targets)
-            out["errors"] = _json_floats(self.errors)
-            out["max_error"] = (None if self.max_error is None
-                                or not math.isfinite(self.max_error)
-                                else float(self.max_error))
-            out["excluded"] = list(self.excluded)
-        return out
+        return jsonable({k: getattr(self, k) for k in _REPORT_FIELDS[self.kind]})
 
 
 def hj_residual(f, t, cost, space):
@@ -138,12 +126,12 @@ def hj_boundary(f, cost, space, t_sequence=None):
     g = tilde_gradient(f, space)
     bound = cost.conjugate_domain_bound()
     excluded = tuple(int(i) for i in np.flatnonzero(g >= bound))
-    ratios = np.empty((len(ts), space.n))
-    for k, t in enumerate(ts):
-        ratios[k] = (weak_infconv(f, t, cost, space).values - f) / t
     dyadic = len(ts) >= 2 and all(
         abs(b - 0.5 * a) <= 1e-12 * a for a, b in zip(ts, ts[1:]))
-    limits = 2.0 * ratios[-1] - ratios[-2] if dyadic else ratios[-1].copy()
+    # the extrapolation reads only the last one or two ratios
+    ratios = [(weak_infconv(f, t, cost, space).values - f) / t
+              for t in ts[-2 if dyadic else -1:]]
+    limits = 2.0 * ratios[1] - ratios[0] if dyadic else ratios[0]
 
     targets = -np.atleast_1d(np.asarray(cost.conjugate(g), dtype=float))
     errors = np.abs(limits - targets)
@@ -179,15 +167,7 @@ class ObstructionWitness:
     gap: float
 
     def to_json_dict(self):
-        return {
-            "f": [float(v) for v in self.f],
-            "x": int(self.x),
-            "s": float(self.s),
-            "t": float(self.t),
-            "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
-            "gap": float(self.gap),
-        }
+        return jsonable(asdict(self))
 
 
 @dataclass
@@ -205,14 +185,7 @@ class ObstructionResult:
     detail: dict = field(default_factory=dict)
 
     def to_json_dict(self):
-        return {
-            "status": self.status,
-            "witness": None if self.witness is None else self.witness.to_json_dict(),
-            "functions_tried": self.functions_tried,
-            "evaluations": self.evaluations,
-            "seed": self.seed,
-            "detail": dict(self.detail),
-        }
+        return jsonable(asdict(self))
 
 
 def _family_matrix(d_family, t, space):

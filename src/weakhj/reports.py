@@ -1,7 +1,8 @@
 """Assembled verification reports for the worked example spaces.
 
-Each function runs a library verification suite and returns a plain
-JSON-ready dict; the command-line layer serializes these untouched.
+Each function runs a library verification suite and returns a dict of
+numbers, strings, lists and arrays; the command-line layer serializes it
+through `space.jsonable`.
 The two-point report checks every closed-form value of the smallest
 space.  The hypercube and symmetric-group reports measure the tight
 Poincare and entropy ratios and record them against the commonly
@@ -62,10 +63,10 @@ def two_point_report(t_grid=None, seed=0):
         strict = strict and hj.residuals[0] < 0.0 and hj.holds
         table.append({
             "t": t,
-            "values": [float(v) for v in res.values],
+            "values": res.values,
             "expected": expected,
-            "derivative": [float(v) for v in dq],
-            "residual": [float(v) for v in hj.residuals],
+            "derivative": dq,
+            "residual": hj.residuals,
             "residual_expected": [residual0, 0.0],
         })
 

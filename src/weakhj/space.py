@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,21 @@ from scipy.sparse.csgraph import shortest_path
 HYPERCUBE_MAX_N = 12
 SYMMETRIC_GROUP_MAX_N = 5
 METRIC_TOL = 1e-9
+
+
+def jsonable(obj):
+    """`obj` as plain JSON data: dicts stay dicts, lists, tuples and arrays
+    become lists, NumPy scalars become Python scalars, and a non-finite
+    float becomes None (NaN and infinity are not JSON)."""
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 class CapacityError(ValueError):
@@ -110,7 +126,7 @@ class MetricSpace:
         return float(self.dist.max()) if self.n > 1 else 0.0
 
     def to_json_dict(self):
-        return {"dist": self.dist.tolist(), "labels": list(self.labels)}
+        return jsonable({"dist": self.dist, "labels": self.labels})
 
 
 def validate_metric(dist, labels=None, tol=METRIC_TOL):
@@ -169,29 +185,18 @@ def _hypercube_dist(n):
 
 
 def _symmetric_group(n):
+    """S_n under the transposition metric: the shortest-path metric of its
+    Cayley graph, whose edges swap two entries of a permutation."""
     perms = list(itertools.permutations(range(n)))
     index = {p: k for k, p in enumerate(perms)}
-    size = len(perms)
-    d = np.zeros((size, size))
-    # transposition distance = n minus number of cycles of sigma^{-1} tau
+    edges = []
     for a, p in enumerate(perms):
-        inv = [0] * n
-        for pos, v in enumerate(p):
-            inv[v] = pos
-        for b, q in enumerate(perms):
-            comp = tuple(inv[q[k]] for k in range(n))
-            seen = [False] * n
-            cycles = 0
-            for s in range(n):
-                if not seen[s]:
-                    cycles += 1
-                    t = s
-                    while not seen[t]:
-                        seen[t] = True
-                        t = comp[t]
-            d[a, b] = n - cycles
+        for i, j in itertools.combinations(range(n), 2):
+            q = list(p)
+            q[i], q[j] = q[j], q[i]
+            edges.append((a, index[tuple(q)]))
     labels = tuple("".join(str(v) for v in p) for p in perms)
-    return d, labels, index
+    return build_from_graph(len(perms), edges, labels)
 
 
 def build_example(kind, n=None):
@@ -228,8 +233,7 @@ def build_example(kind, n=None):
         if n > SYMMETRIC_GROUP_MAX_N:
             raise CapacityError(
                 f"symmetric_group capped at n={SYMMETRIC_GROUP_MAX_N}, got {n}")
-        d, labels, _ = _symmetric_group(n)
-        return MetricSpace(d, labels)
+        return _symmetric_group(n)
     raise ValueError(f"unknown example kind {kind!r}")
 
 

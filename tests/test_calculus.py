@@ -201,6 +201,29 @@ def test_weak_rejects_nonpositive_t():
             classical_infconv(np.array([1.0, 0.0]), bad, quadratic(), sp)
 
 
+ENTRY_POINTS = {
+    "weak_infconv": lambda f, sp: weak_infconv(f, 0.5, quadratic(), sp),
+    "weak_infconv_bruteforce": lambda f, sp: weak_infconv_bruteforce(f, 0.5, quadratic(), sp),
+    "classical_infconv": lambda f, sp: classical_infconv(f, 0.5, quadratic(), sp),
+    "tilde_gradient": tilde_gradient,
+    "lipschitz_seminorm": lipschitz_seminorm,
+    "envelope": lambda f, sp: envelope(f, 0, sp),
+    "gradient_envelope_identity": lambda f, sp: gradient_envelope_identity(f, 0, sp),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("f, message", [
+    ([1.0], r"expected \(2,\)"), ([1.0, 0.0, 2.0], r"expected \(2,\)"),
+    ([1.0, np.nan], "finite"), ([np.inf, 0.0], "finite")],
+    ids=["short", "long", "nan", "inf"])
+def test_entry_points_reject_bad_functions(name, f, message):
+    # a wrong length must not be truncated or broadcast, and a NaN must
+    # not reach the batched hull
+    with pytest.raises(ValueError, match=message):
+        ENTRY_POINTS[name](f, build_example("two_point"))
+
+
 # -- oracle equivalence ------------------------------------------------------
 
 def test_bruteforce_two_point_value():

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,3 +298,64 @@ def test_version_flag(capsys):
         run(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == "0.1.0"
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    return [line.split("#")[0].split()[1:] for line in lines if line.strip()]
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv", _readme_commands() + [
+    ["chain-verify", "--space", "two_point", "--samples", "0", "--restarts", "2"],
+    ["hj-verify", "--space", "two_point", "--f", "3,0", "--cost", "qlin:a=1,h=0.5",
+     "--boundary"],
+], ids=" ".join)
+def test_output_is_strict_json(argv, tmp_path, capsys):
+    # with no samples the dual sweep's best log ratio is -inf, which JSON
+    # cannot hold
+    space_file = tmp_path / "my_space.json"
+    space_file.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2, 2.5]]}))
+    argv = [str(space_file) if a == "my_space.json" else a for a in argv]
+    code, out = invoke(capsys, *argv)
+    assert code in (0, 2)
+    doc = _strict_json(out)
+    assert doc["manifest"]["command"] == argv[0]
+
+
+@pytest.mark.parametrize("f, message", [
+    ("1,nan", "finite"), ("1", "shape"), ("1,0,2", "shape")])
+def test_qtilde_rejects_bad_function(f, message, capsys):
+    code, out = invoke(capsys, "qtilde", "--space", "two_point", "--f", f,
+                       "--t", "0.5")
+    assert code == 1
+    err = _strict_json(out)["error"]
+    assert err["type"] == "value" and message in err["message"]
+
+
+def test_vector_file_with_non_number_names_file(tmp_path, capsys):
+    path = tmp_path / "f.json"
+    path.write_text('["a", 1]')
+    code, doc = invoke_json(capsys, "qtilde", "--space", "two_point",
+                            "--f", str(path), "--t", "0.5")
+    assert code == 1
+    assert doc["error"]["type"] == "input"
+    assert str(path) in doc["error"]["message"]
+
+
+def test_parser_reuse_keeps_no_state(capsys):
+    from weakhj.cli import _build_parser
+    assert _build_parser() is _build_parser()
+    _, first = invoke_json(capsys, "qtilde", "--space", "two_point",
+                           "--f", "1,0", "--t", "0.5", "--oracle")
+    _, second = invoke_json(capsys, "qtilde", "--space", "two_point",
+                            "--f", "1,0", "--t", "0.5")
+    assert "oracle_values" in first["result"]
+    assert "oracle_values" not in second["result"]

@@ -186,6 +186,28 @@ def test_boundary_sequence_validation():
         hj_boundary([1.0, 0.0], quadratic(), TWO_POINT, t_sequence=(0.25, 0.5))
 
 
+@pytest.mark.parametrize("ts, used", [
+    (None, 2), ((0.3, 0.1, 0.03, 0.01), 1), ((0.5, 0.25, 0.125), 2)])
+def test_boundary_evaluates_only_the_ratios_it_reads(monkeypatch, ts, used):
+    import weakhj.hj as hj
+
+    f = np.array([0.7, -0.3, 0.2, 1.1, 0.4])
+    space, cost = build_example("path", 5), power(3)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return weak_infconv(*args)
+
+    monkeypatch.setattr(hj, "weak_infconv", counted)
+    rep = hj_boundary(f, cost, space, t_sequence=ts)
+    seq = hj._DEFAULT_BOUNDARY_TS if ts is None else ts
+    assert calls == list(seq[-used:])
+    r = [(weak_infconv(f, t, cost, space).values - f) / t for t in seq[-used:]]
+    expected = 2.0 * r[1] - r[0] if used == 2 else r[0]
+    np.testing.assert_array_equal(rep.limits, expected)
+
+
 # ---------------------------------------------------------------------------
 # semigroup obstruction
 

@@ -1,6 +1,7 @@
 """Tests for finite metric spaces, measures, kernels and file I/O."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from weakhj.space import (
     build_from_graph,
     check_detailed_balance,
     check_metric,
+    jsonable,
     kernel_moment_L,
     load_space,
     nearest_neighbor_kernel,
@@ -102,6 +104,37 @@ def test_symmetric_group_structure():
     at_one = (sp.dist == 1.0).sum(axis=1)
     np.testing.assert_array_equal(at_one, np.full(6, 3))
     assert sp.diameter == 2.0  # n - 1 transpositions suffice
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_symmetric_group_is_n_minus_cycles(n):
+    # d(p, q) = n - (number of cycles of p^-1 q), counted directly
+    sp = build_example("symmetric_group", n)
+    perms = [tuple(int(c) for c in label) for label in sp.labels]
+    assert sorted(perms) == perms and len(perms) == math.factorial(n)
+    for a, p in enumerate(perms):
+        inv = np.argsort(p)
+        for b, q in enumerate(perms):
+            comp, seen, cycles = inv[list(q)], set(), 0
+            for s in range(n):
+                if s not in seen:
+                    cycles += 1
+                    while s not in seen:
+                        seen.add(s)
+                        s = int(comp[s])
+            assert sp.dist[a, b] == n - cycles
+
+
+def test_jsonable_maps_to_plain_json():
+    obj = {"a": np.float64(-np.inf), "b": (np.int64(3), np.bool_(True)),
+           "c": np.array([[1.5, np.nan]]), "d": [math.inf, 2, None, "s"],
+           "e": {"f": np.float32(0.5)}}
+    out = jsonable(obj)
+    assert out == {"a": None, "b": [3, True], "c": [[1.5, None]],
+                   "d": [None, 2, None, "s"], "e": {"f": 0.5}}
+    assert type(out["b"][0]) is int and type(out["b"][1]) is bool
+    assert type(out["c"][0][0]) is float
+    json.dumps(out, allow_nan=False)
 
 
 def test_capacity_limits():
