@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .space import as_function
+from .space import as_function, as_positive
 
 ARGMIN_TOL = 1e-9
 _FLAT_TOL = 1e-12
@@ -256,8 +256,7 @@ def weak_infconv(f, t, cost, space):
     All points are processed together: the sphere minima of f come from
     the space's cached row orders, then every lower convex envelope and
     every segment minimizer is computed at once."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    t = as_positive(t, "t")
     f = as_function(f, space.n).copy()  # the lazy envelopes read it later
     n = space.n
     order, starts = space.distance_groups
@@ -289,8 +288,7 @@ def weak_infconv(f, t, cost, space):
 def weak_infconv_bruteforce(f, t, cost, space, grid=33, rounds=12):
     """Independent oracle: exhaustive search over two-point measures with a
     uniform weight grid, adaptively refined around the best weight."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    t = as_positive(t, "t")
     f = as_function(f, space.n)
     n = space.n
     base = np.linspace(0.0, 1.0, grid)
@@ -319,8 +317,7 @@ def weak_infconv_bruteforce(f, t, cost, space, grid=33, rounds=12):
 
 def classical_infconv(f, t, cost, space):
     """Point-mass inf-convolution min_y f(y) + t alpha(d(x,y)/t)."""
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    t = as_positive(t, "t")
     f = as_function(f, space.n)
     return np.min(f[None, :] + t * cost.eval(space.dist / t), axis=1)
 

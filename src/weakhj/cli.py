@@ -19,6 +19,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -145,6 +146,8 @@ def _parse_grid(spec):
         if len(parts) != 3:
             raise InputError(f"grid {spec!r} must be start:stop:step")
         start, stop, step = _numbers(parts, f"non-numeric grid bound in {spec!r}")
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise InputError(f"non-finite grid bound in {spec!r}")
         if step <= 0 or stop < start:
             raise InputError(f"empty grid {spec!r}")
         count = int(round((stop - start) / step))

@@ -30,10 +30,10 @@ class CostFunction:
             raise ValueError(f"unknown cost kind {self.kind!r}")
         if self.kind == "quadratic" and self.p != 2.0:
             raise ValueError(f"quadratic cost has p = 2, got {self.p}")
-        if self.kind == "power" and not self.p > 1:
-            raise ValueError(f"power cost needs p > 1, got {self.p}")
-        if self.kind == "qlin" and not (self.a > 0 and self.h > 0 and math.isfinite(self.h)):
-            raise ValueError(f"qlin cost needs a > 0 and finite h > 0, got a={self.a} h={self.h}")
+        if self.kind == "power" and not 1 < self.p < math.inf:
+            raise ValueError(f"power cost needs finite p > 1, got {self.p}")
+        if self.kind == "qlin" and not (0 < self.a < math.inf and 0 < self.h < math.inf):
+            raise ValueError(f"qlin cost needs finite a > 0 and h > 0, got a={self.a} h={self.h}")
 
     # -- evaluation ---------------------------------------------------------
 

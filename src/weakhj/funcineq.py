@@ -23,7 +23,7 @@ import numpy as np
 
 from .calculus import _gradient_argmax, lipschitz_seminorm, tilde_gradient, weak_infconv
 from .cost import CostFunction, quadratic
-from .space import as_function, as_measure, check_detailed_balance, jsonable, kernel_moment_L
+from .space import as_function, as_measure, as_positive, check_detailed_balance, jsonable, kernel_moment_L
 
 RATIO_SLACK = 1e-9
 
@@ -314,8 +314,7 @@ def mlsi_verify(mu, C, cost, type="I", space=None, restarts=64, seed=0):
     ratio is not scale invariant, so the best function found is also
     rescanned over two orders of magnitude in amplitude.
     """
-    if C <= 0:
-        raise ValueError(f"mlsi constant must be positive, got {C}")
+    C = as_positive(C, "mlsi constant")
     if type not in ("I", "II"):
         raise ValueError(f"mlsi type must be 'I' or 'II', got {type!r}")
     mu = as_measure(mu, space.n)
@@ -419,8 +418,9 @@ def hypercontractivity_check(mu, C, f, rho, t, space):
     """
     mu = as_measure(mu, space.n)
     f = as_function(f, space.n)
-    if t < 0:
-        raise ValueError(f"time must be non-negative, got {t}")
+    C = as_positive(C, "C")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be finite and non-negative, got {t}")
     if rho < 0 and t > -rho * C / 2 + 1e-12:
         raise ValueError(
             f"with rho={rho} the admissible range is t <= {-rho * C / 2:.6g}, got {t}"
@@ -451,8 +451,7 @@ def bobkov_ledoux_K(C, c):
 
         K = (C/2) ((2 + 2e^2 + c sqrt(C)) / (2 - c sqrt(C)))^2 e^{c sqrt(5C)}
     """
-    if C <= 0:
-        raise ValueError(f"Poincare constant must be positive, got {C}")
+    C = as_positive(C, "Poincare constant")
     root = math.sqrt(C)
     if not 0 < c < 2.0 / root:
         raise ValueError(f"Lipschitz bound must lie in (0, {2.0 / root:.6g}), got {c}")
@@ -471,8 +470,7 @@ def qlin_scaling_check(f, t, a, h, space):
     """Check the scaling identity Q_1(t f) = t Q_t f for the
     quadratic-linear cost, valid while t < a h / Lip(f)."""
     f = as_function(f, space.n)
-    if t <= 0:
-        raise ValueError(f"time must be positive, got {t}")
+    t = as_positive(t, "time")
     lip = lipschitz_seminorm(f, space)
     if lip > 0 and t >= a * h / lip:
         raise ValueError(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .calculus import tilde_gradient, time_derivative, weak_infconv
 from .cost import quadratic
-from .space import as_function, jsonable
+from .space import as_function, as_positive, jsonable
 
 RESIDUAL_TOL = 1e-9
 BOUNDARY_TOL = 1e-6
@@ -79,8 +79,7 @@ def hj_residual(f, t, cost, space):
     finite-domain premise: the point is listed in `conjugate_infinite`
     and the verdict is False.
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    t = as_positive(t, "t")
     f = as_function(f, space.n)
     res = weak_infconv(f, t, cost, space)
     dq = time_derivative(f, t, cost, space, result=res)
@@ -117,8 +116,8 @@ def hj_boundary(f, cost, space, t_sequence=None):
     f = as_function(f, space.n)
     if t_sequence is None:
         t_sequence = _DEFAULT_BOUNDARY_TS
-    ts = [float(t) for t in t_sequence]
-    if not ts or any(t <= 0 for t in ts):
+    ts = [as_positive(t, "t_sequence entry") for t in t_sequence]
+    if not ts:
         raise ValueError("t_sequence must contain positive times")
     if any(b >= a for a, b in zip(ts, ts[1:])):
         raise ValueError("t_sequence must be strictly decreasing")
@@ -227,8 +226,8 @@ def obstruction_search(space, d_family=None, t_grid=None, trials=50, seed=0):
 
     if t_grid is None:
         t_grid = _DEFAULT_OBSTRUCTION_TS
-    ts = [float(t) for t in t_grid]
-    if not ts or any(t <= 0 for t in ts):
+    ts = [as_positive(t, "t_grid entry") for t in t_grid]
+    if not ts:
         raise ValueError("t_grid must contain positive times")
 
     n = space.n

@@ -259,6 +259,8 @@ def as_measure(w, n):
     w = np.asarray(w, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"measure has shape {w.shape}, expected ({n},)")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("measure entries must be finite")
     if np.any(w < 0):
         raise ValueError(f"negative mass at index {int(np.argmin(w))}")
     if abs(w.sum() - 1.0) > 1e-12:
@@ -273,6 +275,15 @@ def as_function(f, n):
     if not np.all(np.isfinite(f)):
         raise ValueError("function values must be finite")
     return f
+
+
+def as_positive(x, name):
+    """`x` as a float; ValueError unless it is finite and > 0."""
+    x = float(x)
+    if not 0 < x < math.inf:
+        need = "positive" if x <= 0 else "finite and positive"
+        raise ValueError(f"{name} must be {need}, got {x}")
+    return x
 
 
 def uniform_measure(n):

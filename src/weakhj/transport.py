@@ -23,7 +23,7 @@ from scipy.optimize import minimize
 
 from .calculus import weak_infconv
 from .funcineq import InequalityReport, verdict
-from .space import as_function, as_measure
+from .space import as_function, as_measure, as_positive
 
 MARGINAL_TOL = 1e-10
 
@@ -111,7 +111,8 @@ class TransportResult:
 
 
 # ---------------------------------------------------------------------------
-# linear transport subproblem: successive shortest paths with potentials
+# linear transport subproblem: successive shortest paths, each found by
+# Bellman-Ford label correction over the residual graph
 
 
 class SolverError(RuntimeError):
@@ -119,50 +120,38 @@ class SolverError(RuntimeError):
 
 
 def _ot_plan(costs, supply, demand):
-    """Exact minimum-cost transportation plan between two histograms."""
+    """Exact minimum-cost transportation plan between two histograms:
+    successive shortest paths in the residual graph (an arc i -> j at cost
+    c_ij, and j -> i at -c_ij wherever the plan ships i -> j).  The negative
+    arcs call for Bellman-Ford; a label moves only when it improves by more
+    than `tol`, so a tie cannot let the parent pointers close a cycle."""
     ns, nd = costs.shape
     sup = np.array(supply, dtype=float)
     dem = np.array(demand, dtype=float)
     flow = np.zeros((ns, nd))
-    pot_s = np.zeros(ns)
-    pot_d = np.zeros(nd)
+    tol = 1e-12 * (1.0 + float(np.max(np.abs(costs))))
     for _ in range(40 * (ns + nd) + 200):
-        active = sup > 1e-15
-        if not active.any():
+        if not (sup > 1e-15).any():
             break
-        ds = np.where(active, 0.0, np.inf)
+        ds = np.where(sup > 1e-15, 0.0, np.inf)
         dd = np.full(nd, np.inf)
-        done_s = np.zeros(ns, bool)
-        done_d = np.zeros(nd, bool)
-        par_d = np.full(nd, -1)
         par_s = np.full(ns, -1)
-        while True:
-            ms = np.where(done_s, np.inf, ds)
-            md = np.where(done_d, np.inf, dd)
-            si = int(np.argmin(ms))
-            di = int(np.argmin(md))
-            if min(ms[si], md[di]) == np.inf:
-                break
-            if ms[si] <= md[di]:
-                i, best = si, ms[si]
-                done_s[i] = True
-                # reduced costs clamped at 0: float drift in the potentials
-                # must not create negative arcs (Dijkstra correctness)
-                rc = best + np.maximum(costs[i] + pot_s[i] - pot_d, 0.0)
-                upd = rc < dd - 1e-18
-                dd = np.where(upd, rc, dd)
-                par_d = np.where(upd, i, par_d)
-            else:
-                i, best = di, md[di]
-                done_d[i] = True
-                if dem[i] > 1e-15:
-                    break  # cheapest unmet sink settled
-                has = flow[:, i] > 1e-18
-                rc = best + np.maximum(-costs[:, i] + pot_d[i] - pot_s, 0.0)
-                upd = has & (rc < ds - 1e-18)
-                ds = np.where(upd, rc, ds)
-                par_s = np.where(upd, i, par_s)
-        sinks = np.flatnonzero(done_d & (dem > 1e-15))
+        par_d = np.full(nd, -1)
+        back = np.where(flow > 1e-18, -costs, np.inf)
+        for _ in range(ns + nd):
+            reach = ds[:, None] + costs
+            upd_d = reach.min(axis=0) < dd - tol
+            par_d = np.where(upd_d, reach.argmin(axis=0), par_d)
+            dd = np.where(upd_d, reach.min(axis=0), dd)
+            reach = back + dd[None, :]
+            upd_s = reach.min(axis=1) < ds - tol
+            par_s = np.where(upd_s, reach.argmin(axis=1), par_s)
+            ds = np.where(upd_s, reach.min(axis=1), ds)
+            if not upd_s.any():
+                break  # the next sink labels would repeat these
+        else:
+            raise SolverError("transport subproblem: path traces a cycle")
+        sinks = np.flatnonzero((dem > 1e-15) & (dd < np.inf))
         if sinks.size == 0:
             raise SolverError("transport subproblem: no augmenting path")
         t = int(sinks[np.argmin(dd[sinks])])
@@ -173,26 +162,17 @@ def _ot_plan(costs, supply, demand):
             if len(path) > 2 * (ns + nd) + 4:
                 raise SolverError("transport subproblem: path traces a cycle")
             x = int(par_d[y])
-            path.append((x, y, True))
+            path.append((x, y, 1.0))
             if par_s[x] == -1:
                 amount = min(amount, sup[x])
                 break
-            yb = int(par_s[x])
-            path.append((x, yb, False))
-            amount = min(amount, flow[x, yb])
-            y = yb
-        for x, yy, forward in path:
-            if forward:
-                flow[x, yy] += amount
-            else:
-                flow[x, yy] -= amount
-        sup[path[-1][0]] -= amount
+            y = int(par_s[x])
+            path.append((x, y, -1.0))
+            amount = min(amount, flow[x, y])
+        for a, b, sign in path:
+            flow[a, b] += sign * amount
+        sup[x] -= amount  # amount <= sup[x], dem[t]: no rounding below 0
         dem[t] -= amount
-        sup = np.maximum(sup, 0.0)
-        dem = np.maximum(dem, 0.0)
-        dmax = dd[t]
-        pot_s += np.minimum(ds, dmax)
-        pot_d += np.minimum(dd, dmax)
     if sup.max() > 1e-10 or dem.max() > 1e-10:
         raise SolverError(
             f"transport subproblem not converged: residuals {sup.max():.3e} {dem.max():.3e}"
@@ -214,10 +194,17 @@ def classical_transport_cost(nu, mu, cost, space):
 # Frank-Wolfe for the weak cost
 
 
-def _mean_objective(pi, mu, dist, cost):
+def _row_means(plan, mu, dist):
+    """Mean distance moved per unit of mass by each mu-charged row."""
     means = np.zeros(mu.size)
     pos = mu > 0
-    means[pos] = (dist[pos] * pi[pos]).sum(axis=1) / mu[pos]
+    means[pos] = (dist[pos] * plan[pos]).sum(axis=1) / mu[pos]
+    return means
+
+
+def _mean_objective(pi, mu, dist, cost):
+    means = _row_means(pi, mu, dist)
+    pos = mu > 0
     return float(np.sum(mu[pos] * cost.eval(means[pos]))), means
 
 
@@ -276,8 +263,7 @@ def weak_transport_cost(nu, mu, cost, space, gap_tol=1e-8, max_iter=10000):
         away = int(np.argmax([np.sum(grad * a) for a in atoms]))
         delta = target - atoms[away]
         gmax = weights[away]
-        dm = np.zeros(mu.size)
-        dm[pos] = (dist[pos] * delta[pos]).sum(axis=1) / mu[pos]
+        dm = _row_means(delta, mu, dist)
         gamma = _line_search(mu, pos, means, dm, cost, gmax)
         if gamma <= 0:
             return TransportResult(value, Coupling(pi, mu), gap, it + 1, False)
@@ -434,8 +420,7 @@ def check_transport_entropy(
     the verdict on the certified lower bound (value - gap)/H, which
     never exceeds the true ratio.
     """
-    if C <= 0:
-        raise ValueError(f"transport constant must be positive, got {C}")
+    C = as_positive(C, "transport constant")
     if direction not in ("I", "II"):
         raise ValueError(f"direction must be 'I' or 'II', got {direction!r}")
     mu = as_measure(mu, space.n)
@@ -491,8 +476,7 @@ def dual_check(mu, C, phi, cost, space):
         int exp((2/C) Q_1 phi) dmu  <=  exp((2/C) int phi dmu)
 
     for one test function phi; evaluated in log space."""
-    if C <= 0:
-        raise ValueError(f"dual constant must be positive, got {C}")
+    C = as_positive(C, "dual constant")
     mu = as_measure(mu, space.n)
     phi = as_function(phi, space.n)
     lam = 2.0 / C

@@ -359,3 +359,23 @@ def test_parser_reuse_keeps_no_state(capsys):
                             "--f", "1,0", "--t", "0.5")
     assert "oracle_values" in first["result"]
     assert "oracle_values" not in second["result"]
+
+
+@pytest.mark.parametrize("argv, kind", [
+    ("qtilde --space two_point --f 1,0 --t nan", "value"),
+    ("qtilde --space two_point --f 1,0 --t inf", "value"),
+    ("hj-verify --space two_point --f 1,0 --t-grid 0.1:inf:0.1", "input"),
+    ("hj-verify --space two_point --f 1,0 --t-grid 0.1,nan", "value"),
+    ("obstruction --space two_point --t-grid nan,0.5", "value"),
+    ("te-verify --space two_point --C nan --samples 10", "value"),
+    ("chain-verify --space two_point --C inf --samples 5 --restarts 1", "value"),
+    ("ttilde --space two_point --nu nan,1 --mu 0.5,0.5", "value"),
+    ("qtilde --space two_point --f 1,0 --t 0.5 --cost power:p=inf", "input"),
+    ("qtilde --space two_point --f 1,0 --t 0.5 --cost qlin:a=inf,h=1", "input"),
+], ids=lambda v: v)
+def test_non_finite_input_is_error_object(argv, kind, capsys):
+    code, out = invoke(capsys, *argv.split())
+    assert code == 1
+    err = _strict_json(out)["error"]
+    assert err["type"] == kind
+    assert "finite" in err["message"]

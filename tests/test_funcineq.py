@@ -298,6 +298,9 @@ def test_hypercontractivity_validation():
         hypercontractivity_check(mu, 1.0, np.zeros(2), 1.0, -0.5, sp)
     with pytest.raises(ValueError):
         hypercontractivity_check(mu, 1.0, np.zeros(2), -1.0, 0.9, sp)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            hypercontractivity_check(mu, 1.0, np.zeros(2), 1.0, t, sp)
 
 
 def test_qlin_scaling_constant_and_two_point():

@@ -14,6 +14,7 @@ from weakhj.space import (
     MetricViolation,
     as_function,
     as_measure,
+    as_positive,
     build_example,
     build_from_graph,
     check_detailed_balance,
@@ -223,6 +224,18 @@ def test_measures_and_functions():
         as_function([np.nan, 0.0], 2)
     with pytest.raises(ValueError):
         as_function([np.inf, 0.0], 2)
+
+
+def test_as_positive_takes_finite_positive_numbers_only():
+    assert as_positive(np.float64(0.5), "t") == 0.5
+    assert type(as_positive(2, "t")) is float
+    with pytest.raises(ValueError, match="t must be positive, got 0.0"):
+        as_positive(0, "t")
+    for bad in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="C must be"):
+            as_positive(bad, "C")
+    with pytest.raises(ValueError, match="finite"):
+        as_measure([math.nan, 1.0], 2)
 
 
 def test_kernel_validation():

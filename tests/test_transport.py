@@ -9,6 +9,7 @@ from weakhj.cost import power, quadratic
 from weakhj.space import build_example, uniform_measure
 from weakhj.transport import (
     Coupling,
+    SolverError,
     check_transport_entropy,
     classical_transport_cost,
     dual_check,
@@ -41,15 +42,29 @@ def test_relative_entropy_zero_only_at_equality():
         assert relative_entropy(mu, mu) == 0.0
 
 
-def test_linear_plan_matches_linprog():
+def _linear_plan_cases():
     rng = np.random.default_rng(2)
     for _ in range(40):
         ns = int(rng.integers(2, 7))
         nd = int(rng.integers(2, 7))
-        costs = rng.random((ns, nd))
-        sup = rng.dirichlet(np.ones(ns))
-        dem = rng.dirichlet(np.ones(nd))
+        yield rng.random((ns, nd)), rng.dirichlet(np.ones(ns)), rng.dirichlet(np.ones(nd))
+    for ns, nd in [(1, 1), (1, 2), (1, 6), (2, 1), (6, 1)]:
+        yield rng.random((ns, nd)), rng.dirichlet(np.ones(ns)), rng.dirichlet(np.ones(nd))
+    for k in range(60):
+        # integer costs tie everywhere; integer masses put zeros in the
+        # histograms and make many partial sums equal
+        ns = 1 if k % 10 == 0 else int(rng.integers(2, 8))
+        nd = 1 if k % 10 == 5 else int(rng.integers(2, 8))
+        sup = rng.integers(0, 4, ns).astype(float) + (np.arange(ns) == 0)
+        dem = rng.integers(0, 4, nd).astype(float) + (np.arange(nd) == nd - 1)
+        yield rng.integers(0, 3, (ns, nd)).astype(float), sup / sup.sum(), dem / dem.sum()
+
+
+def test_linear_plan_matches_linprog():
+    for costs, sup, dem in _linear_plan_cases():
+        ns, nd = costs.shape
         plan = _ot_plan(costs, sup, dem)
+        assert plan.min() >= 0.0
         assert_allclose(plan.sum(axis=1), sup, atol=1e-10)
         assert_allclose(plan.sum(axis=0), dem, atol=1e-10)
         a_eq = np.zeros((ns + nd - 1, ns * nd))
@@ -63,6 +78,15 @@ def test_linear_plan_matches_linprog():
         )
         assert ref.success
         assert_allclose(np.sum(costs * plan), ref.fun, atol=1e-9)
+
+
+@pytest.mark.parametrize("sup, dem", [
+    ([0.5, 0.5], [0.3, 0.3]), ([0.3, 0.3], [0.5, 0.5]),
+    ([0.2, 0.2, 0.2, 0.2, 0.2], [0.1, 0.6]), ([1.0], [0.5, 0.25, 0.125])])
+def test_unbalanced_histograms_raise(sup, dem):
+    costs = np.random.default_rng(4).random((len(sup), len(dem)))
+    with pytest.raises(SolverError, match="transport subproblem"):
+        _ot_plan(costs, np.array(sup), np.array(dem))
 
 
 def test_weak_cost_dirac_target():
