@@ -49,6 +49,7 @@ from .transport import (
 
 _EXAMPLE_KINDS = ("two_point", "path", "cycle", "complete", "hypercube",
                   "symmetric_group")
+_GRID_CAP = 10_000  # points in a start:stop:step grid
 
 
 class InputError(ValueError):
@@ -150,8 +151,11 @@ def _parse_grid(spec):
             raise InputError(f"non-finite grid bound in {spec!r}")
         if step <= 0 or stop < start:
             raise InputError(f"empty grid {spec!r}")
-        count = int(round((stop - start) / step))
-        grid = [start + i * step for i in range(count + 1)]
+        span = (stop - start) / step
+        if span + 1 > _GRID_CAP:
+            raise InputError(f"grid {spec!r} has {span + 1:.0f} points, "
+                             f"more than the cap of {_GRID_CAP}")
+        grid = [start + i * step for i in range(int(round(span)) + 1)]
         return [t for t in grid if t <= stop + 1e-12]
     return _numbers(spec.split(","), f"bad grid {spec!r}")
 
@@ -310,16 +314,13 @@ def _cmd_chain_verify(args, inputs):
 
 def _cmd_examples(args, inputs):
     inputs["example"] = _digest_obj({"report": args.which, "n": args.n})
+    budget = {"restarts": args.restarts, "seed": args.seed}
     if args.which == "two-point":
-        payload = two_point_report(seed=args.seed)
+        payload = two_point_report(**budget)
         return payload, 0 if payload["holds"] else 2
     if args.which == "hypercube":
-        payload = hypercube_report(args.n if args.n else 2,
-                                   restarts=args.restarts,
-                                   samples=args.samples, seed=args.seed)
-        return payload, 0
-    payload = symmetric_group_report(args.n if args.n else 3, seed=args.seed)
-    return payload, 0
+        return hypercube_report(args.n or 2, samples=args.samples, **budget), 0
+    return symmetric_group_report(args.n or 3, **budget), 0
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ import numpy as np
 
 from .calculus import _gradient_argmax, lipschitz_seminorm, tilde_gradient, weak_infconv
 from .cost import CostFunction, quadratic
-from .space import as_function, as_measure, as_positive, check_detailed_balance, jsonable, kernel_moment_L
+from .space import (as_count, as_function, as_measure, as_positive, check_detailed_balance,
+                     jsonable, kernel_moment_L)
 
 RATIO_SLACK = 1e-9
 
@@ -164,8 +165,10 @@ def verdict(ratio, constant):
 # subgradient ascent machinery
 
 
-def _seed_function(rng, space, scale):
-    # alternate Gaussian profiles with indicators of proper metric balls
+def _seed_function(rng, space, k):
+    # the k-th test function of every restart loop and sampled sweep: a
+    # Gaussian profile or the indicator of a proper metric ball
+    scale = _RESTART_SCALES[k % len(_RESTART_SCALES)]
     n = space.n
     if n > 1 and rng.random() < 0.5:
         center = int(rng.integers(n))
@@ -205,7 +208,7 @@ def _run_restarts(value_and_grad, space, restarts, seed, scale_scan):
     best_f = None
     for k, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
         rng = np.random.default_rng(child)
-        f0 = _seed_function(rng, space, _RESTART_SCALES[k % len(_RESTART_SCALES)])
+        f0 = _seed_function(rng, space, k)
         r, fb = _ascend(value_and_grad, f0, _ITERATIONS, float(np.ptp(f0)) or None)
         if r > best_r:
             best_r, best_f = r, fb
@@ -282,29 +285,18 @@ def poincare_estimate(mu, space, restarts=64, seed=0):
     to unit range.  The report tests the ratio against the diameter
     bound D^2/2.
     """
+    restarts = as_count(restarts, "restarts")
     mu = as_measure(mu, space.n)
     diameter = space.diameter
     bound = 0.5 * diameter * diameter
-    details = {"diameter": diameter}
-    if np.count_nonzero(mu) <= 1:
-        return InequalityReport(
-            "poincare", bound, 0.0, None, verdict(0.0, bound), restarts, 0, seed, details
+    ratio, witness, iterations = 0.0, None, 0
+    if np.count_nonzero(mu) > 1:
+        ratio, witness = _run_restarts(
+            _poincare_value_and_grad(mu, space), space, restarts, seed, False
         )
-    ratio, witness = _run_restarts(
-        _poincare_value_and_grad(mu, space), space, restarts, seed, False
-    )
-    ratio = max(ratio, 0.0)
-    return InequalityReport(
-        "poincare",
-        bound,
-        ratio,
-        witness,
-        verdict(ratio, bound),
-        restarts,
-        restarts * _ITERATIONS,
-        seed,
-        details,
-    )
+        ratio, iterations = max(ratio, 0.0), restarts * _ITERATIONS
+    return InequalityReport("poincare", bound, ratio, witness, verdict(ratio, bound),
+                            restarts, iterations, seed, {"diameter": diameter})
 
 
 def mlsi_verify(mu, C, cost, type="I", space=None, restarts=64, seed=0):
@@ -315,6 +307,7 @@ def mlsi_verify(mu, C, cost, type="I", space=None, restarts=64, seed=0):
     rescanned over two orders of magnitude in amplitude.
     """
     C = as_positive(C, "mlsi constant")
+    restarts = as_count(restarts, "restarts")
     if type not in ("I", "II"):
         raise ValueError(f"mlsi type must be 'I' or 'II', got {type!r}")
     mu = as_measure(mu, space.n)
@@ -371,6 +364,7 @@ def toto_bridge_check(mu, K, space, samples=200, seed=0):
     with L the second distance moment of K.  Detailed balance is a
     premise and is checked first.
     """
+    samples = as_count(samples, "samples")
     mu = as_measure(mu, space.n)
     balance = check_detailed_balance(mu, K)
     if not balance["holds"]:
@@ -384,7 +378,7 @@ def toto_bridge_check(mu, K, space, samples=200, seed=0):
     best = 0.0
     witness = None
     for k in range(samples):
-        f = _seed_function(rng, space, _RESTART_SCALES[k % len(_RESTART_SCALES)])
+        f = _seed_function(rng, space, k)
         g = tilde_gradient(f, space)
         denom = float(mu @ (g ** 2 * np.exp(f)))
         if denom <= 1e-14:
@@ -445,6 +439,11 @@ def hypercontractivity_check(mu, C, f, rho, t, space):
 # quadratic-linear constants
 
 
+def _bobkov_ledoux_factor(C, c):
+    # (2 + 2e^2 + c sqrt(C)) / (2 - c sqrt(C)), positive for c sqrt(C) < 2
+    return (2.0 + 2.0 * _E2 + c * math.sqrt(C)) / (2.0 - c * math.sqrt(C))
+
+
 def bobkov_ledoux_K(C, c):
     """Entropy constant K(c) produced from a Poincare constant C for
     c-Lipschitz functions, valid for 0 < c < 2/sqrt(C):
@@ -455,7 +454,7 @@ def bobkov_ledoux_K(C, c):
     root = math.sqrt(C)
     if not 0 < c < 2.0 / root:
         raise ValueError(f"Lipschitz bound must lie in (0, {2.0 / root:.6g}), got {c}")
-    frac = (2.0 + 2.0 * _E2 + c * root) / (2.0 - c * root)
+    frac = _bobkov_ledoux_factor(C, c)
     return 0.5 * C * frac * frac * math.exp(c * math.sqrt(5.0 * C))
 
 
@@ -532,7 +531,7 @@ def appendix_checks(mu, C, f, c, space):
         out["second-moment-exponential"] = {"premise": "; ".join(premises), "holds": None}
     else:
         lhs = float(mu @ (f ** 2 * ef))
-        frac = (2.0 + 2.0 * _E2 + c * root) / (2.0 - c * root)
+        frac = _bobkov_ledoux_factor(C, c)
         rhs = C * frac * frac * float(mu @ (g ** 2 * ef))
         out["second-moment-exponential"] = {
             "premise": "ok",
@@ -563,12 +562,13 @@ def herbst_tail_check(mu, C, space, samples=200, seed=0):
     """Sampled check of the Gaussian tail bound mu(f >= h) <= e^{-h^2/(4C)}
     for centered 1-Lipschitz functions; C is a certified transport or
     entropy constant.  The reported ratio is tail mass over bound."""
+    samples = as_count(samples, "samples")
     mu = as_measure(mu, space.n)
     rng = np.random.default_rng(seed)
     best = 0.0
     witness = None
     for k in range(samples):
-        f = _seed_function(rng, space, _RESTART_SCALES[k % len(_RESTART_SCALES)])
+        f = _seed_function(rng, space, k)
         lip = lipschitz_seminorm(f, space)
         if lip <= 1e-14:
             continue

@@ -286,6 +286,13 @@ def as_positive(x, name):
     return x
 
 
+def as_count(x, name):
+    """`x` as an int; ValueError unless it is an integer >= 1."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {x!r}")
+    return int(x)
+
+
 def uniform_measure(n):
     return np.full(n, 1.0 / n)
 

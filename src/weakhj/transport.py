@@ -22,8 +22,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .calculus import weak_infconv
-from .funcineq import InequalityReport, verdict
-from .space import as_function, as_measure, as_positive
+from .funcineq import InequalityReport, _log_lp_norm_exp, _seed_function, verdict
+from .space import as_count, as_function, as_measure, as_positive
 
 MARGINAL_TOL = 1e-10
 
@@ -421,6 +421,7 @@ def check_transport_entropy(
     never exceeds the true ratio.
     """
     C = as_positive(C, "transport constant")
+    n_samples = as_count(n_samples, "samples")
     if direction not in ("I", "II"):
         raise ValueError(f"direction must be 'I' or 'II', got {direction!r}")
     mu = as_measure(mu, space.n)
@@ -481,9 +482,7 @@ def dual_check(mu, C, phi, cost, space):
     phi = as_function(phi, space.n)
     lam = 2.0 / C
     smoothed = weak_infconv(phi, 1.0, cost, space).values
-    x = lam * smoothed
-    m = float(np.max(x))
-    log_lhs = m + math.log(float(mu @ np.exp(x - m)))
+    log_lhs = lam * _log_lp_norm_exp(smoothed, mu, lam)
     log_rhs = lam * float(mu @ phi)
     return {
         "holds": bool(log_lhs <= log_rhs + 1e-10),
@@ -496,29 +495,21 @@ def dual_check(mu, C, phi, cost, space):
 
 
 def dual_sweep(mu, C, cost, space, n_samples=1000, seed=0):
-    """Run dual_check over random test functions (Gaussian profiles at
-    several amplitudes and indicators of metric balls); reports the
-    largest LHS/RHS ratio against the threshold 1."""
+    """Run dual_check over the estimators' test functions (Gaussian
+    profiles and indicators of metric balls at several amplitudes);
+    reports the largest LHS/RHS ratio against the threshold 1."""
+    n_samples = as_count(n_samples, "samples")
     mu = as_measure(mu, space.n)
     rng = np.random.default_rng(seed)
-    scales = (0.05, 0.3, 1.0, 3.0)
-    n = space.n
     best_log = -math.inf
     witness = None
     for k in range(n_samples):
-        scale = scales[k % len(scales)]
-        if k % 2 == 0 or n == 1:
-            phi = scale * rng.standard_normal(n)
-        else:
-            center = int(rng.integers(n))
-            row = space.dist[center]
-            radii = np.unique(row)
-            phi = scale * (row <= float(rng.choice(radii[:-1] if radii.size > 1 else radii))).astype(float)
+        phi = _seed_function(rng, space, k)
         check = dual_check(mu, C, phi, cost, space)
         log_ratio = check["log_lhs"] - check["log_rhs"]
         if log_ratio > best_log:
             best_log, witness = log_ratio, phi
-    ratio = math.exp(min(best_log, 700.0)) if math.isfinite(best_log) else 0.0
+    ratio = math.exp(min(best_log, 700.0))
     return InequalityReport(
         "dual-bound",
         1.0,

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -201,6 +202,12 @@ def test_examples_symmetric_group_runs(capsys):
     assert 0.0 < res["poincare"]["best_ratio"] <= 2.0 + 1e-9
 
 
+@pytest.mark.parametrize("which, restarts", [("symmetric-group", 2), ("two-point", 3)])
+def test_examples_pass_restarts_to_report(which, restarts, capsys):
+    _, doc = invoke_json(capsys, "examples", which, "--restarts", str(restarts))
+    assert doc["result"]["poincare"]["restarts"] == restarts
+
+
 def test_csv_flattening(capsys):
     code, out = invoke(capsys, "qtilde", "--space", "two_point",
                        "--f", "1,0", "--t", "0.5", "--csv")
@@ -314,13 +321,10 @@ def _strict_json(text):
 
 
 @pytest.mark.parametrize("argv", _readme_commands() + [
-    ["chain-verify", "--space", "two_point", "--samples", "0", "--restarts", "2"],
     ["hj-verify", "--space", "two_point", "--f", "3,0", "--cost", "qlin:a=1,h=0.5",
      "--boundary"],
 ], ids=" ".join)
 def test_output_is_strict_json(argv, tmp_path, capsys):
-    # with no samples the dual sweep's best log ratio is -inf, which JSON
-    # cannot hold
     space_file = tmp_path / "my_space.json"
     space_file.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2, 2.5]]}))
     argv = [str(space_file) if a == "my_space.json" else a for a in argv]
@@ -379,3 +383,23 @@ def test_non_finite_input_is_error_object(argv, kind, capsys):
     err = _strict_json(out)["error"]
     assert err["type"] == kind
     assert "finite" in err["message"]
+
+
+@pytest.mark.parametrize("argv, kind", [
+    ("te-verify --space two_point --C 1 --samples 0", "value"),
+    ("te-verify --space two_point --C 1 --samples -3", "value"),
+    ("chain-verify --space two_point --samples 5 --restarts 0", "value"),
+    ("chain-verify --space two_point --samples -5 --restarts 2", "value"),
+    ("chain-verify --space two_point --samples 0 --restarts 2", "value"),
+    ("constants --space two_point --restarts -1", "value"),
+    ("hj-verify --space two_point --f 1,0 --t-grid 0.1:0.2:1e-7", "input"),
+    ("hj-verify --space two_point --f 1,0 --t-grid 0:1e308:1e-308", "input"),
+], ids=lambda v: v)
+def test_bad_count_or_grid_is_error_object(argv, kind, capsys):
+    start = time.monotonic()
+    code, out = invoke(capsys, *argv.split())
+    assert time.monotonic() - start < 5.0
+    assert code == 1
+    err = _strict_json(out)["error"]
+    assert err["type"] == kind
+    assert ">= 1" in err["message"] or "cap" in err["message"]

@@ -12,6 +12,7 @@ from weakhj.space import (
     CapacityError,
     KernelMatrix,
     MetricViolation,
+    as_count,
     as_function,
     as_measure,
     as_positive,
@@ -236,6 +237,14 @@ def test_as_positive_takes_finite_positive_numbers_only():
             as_positive(bad, "C")
     with pytest.raises(ValueError, match="finite"):
         as_measure([math.nan, 1.0], 2)
+
+
+def test_as_count_takes_positive_integers_only():
+    assert as_count(np.int64(3), "restarts") == 3
+    assert type(as_count(np.int64(3), "restarts")) is int
+    for bad in (0, -1, 2.0, True, None):
+        with pytest.raises(ValueError, match="restarts must be an integer >= 1"):
+            as_count(bad, "restarts")
 
 
 def test_kernel_validation():
