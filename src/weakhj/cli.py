@@ -318,18 +318,27 @@ def _cmd_examples(args, inputs):
     if args.which == "two-point":
         payload = two_point_report(**budget)
         return payload, 0 if payload["holds"] else 2
+    size = {} if args.n is None else {"n": args.n}
     if args.which == "hypercube":
-        return hypercube_report(args.n or 2, samples=args.samples, **budget), 0
-    return symmetric_group_report(args.n or 3, **budget), 0
+        return hypercube_report(**size, samples=args.samples, **budget), 0
+    return symmetric_group_report(**size, **budget), 0
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError, so they leave as a JSON error object
+    with exit 1 like any other bad input; subparsers inherit the class."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weakhj",
         description=("Weak inf-convolution semigroups, transport costs and "
                      "functional-inequality verifiers on finite metric "
@@ -428,11 +437,10 @@ def _build_parser():
 def run(argv=None):
     """Parse argv, dispatch, print one JSON (or CSV) document, return
     the exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     inputs = {}
     start = time.monotonic()
     try:
+        args = _build_parser().parse_args(argv)
         payload, code = args.handler(args, inputs)
     except (ValueError, SolverError) as exc:
         kind, field = next((k, a) for cls, k, a in _ERRORS if isinstance(exc, cls))

@@ -188,11 +188,9 @@ class ObstructionResult:
 
 
 def _family_matrix(d_family, t, space):
-    n = space.n
-    mat = np.empty((n, n))
-    for x in range(n):
-        for y in range(n):
-            mat[x, y] = d_family(t, x, y)
+    mat = np.asarray(d_family(t), dtype=float)
+    if mat.shape != (space.n, space.n):
+        raise ValueError(f"D_t must be {space.n} x {space.n}; got shape {mat.shape} at t={t}")
     bad = np.flatnonzero(np.abs(np.diag(mat)) > 1e-12)
     if bad.size:
         x = int(bad[0])
@@ -213,16 +211,15 @@ def obstruction_search(space, d_family=None, t_grid=None, trials=50, seed=0):
     connected spaces) over all (s, t) in the grid square, then `trials`
     random functions.  Every candidate is screened at tolerance 1e-6.
 
-    The family must satisfy D_t(x, x) = 0 (ValueError otherwise) and
+    `d_family(t)` returns the n x n matrix D_t, one call per time; the
+    default is t * alpha(d / t) for the quadratic alpha.  The family must
+    be of that shape with D_t(x, x) = 0 (ValueError otherwise) and
     recover f as t -> 0; families failing the latter are reported with
     status "premise-failure" instead of being searched.
     """
     if d_family is None:
-        quad = quadratic()
-        dist = space.dist
-
-        def d_family(t, x, y):
-            return t * quad.eval(dist[x, y] / t)
+        def d_family(t):
+            return t * quadratic().eval(space.dist / t)
 
     if t_grid is None:
         t_grid = _DEFAULT_OBSTRUCTION_TS
@@ -251,16 +248,10 @@ def obstruction_search(space, d_family=None, t_grid=None, trials=50, seed=0):
                     "message": "Q_t f does not recover f as t -> 0"},
         )
 
-    mats = {}
-
-    def mat_at(t):
-        if t not in mats:
-            mats[t] = _family_matrix(d_family, t, space)
-        return mats[t]
-
     pairs = [(s, t) for s in ts for t in ts]
-    needed = set(ts) | {s + t for s, t in pairs}
-    scale = max(float(np.max(mat_at(t))) for t in needed) if n > 1 else 1.0
+    mats = {t: _family_matrix(d_family, t, space)
+            for t in set(ts) | {s + t for s, t in pairs}}
+    scale = max(float(np.max(m)) for m in mats.values()) if n > 1 else 1.0
 
     functions = [np.where(np.arange(n) == z, 0.0, 1.0 + 2.0 * scale)
                  for z in range(n)]
@@ -270,8 +261,8 @@ def obstruction_search(space, d_family=None, t_grid=None, trials=50, seed=0):
     evaluations = 0
     for tried, f in enumerate(functions, start=1):
         for s, t in pairs:
-            lhs = _classical_step(f, mat_at(s + t))
-            rhs = _classical_step(_classical_step(f, mat_at(s)), mat_at(t))
+            lhs = _classical_step(f, mats[s + t])
+            rhs = _classical_step(_classical_step(f, mats[s]), mats[t])
             evaluations += 1
             gap = np.abs(lhs - rhs)
             x = int(np.argmax(gap))

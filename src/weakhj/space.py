@@ -172,16 +172,9 @@ def build_from_graph(n, edges, labels=None):
 
 
 def _hypercube_dist(n):
-    idx = np.arange(2 ** n, dtype=np.int64)
-    x = idx[:, None] ^ idx[None, :]
-    # popcount via byte lookup
-    lut = np.array([bin(v).count("1") for v in range(256)], dtype=np.int64)
-    d = np.zeros_like(x)
-    for shift in range(0, 64, 8):
-        d += lut[(x >> shift) & 0xFF]
-        if (2 ** n) <= (1 << (shift + 8)):
-            break
-    return d.astype(float)
+    # Hamming distance as a product of 0/1 bit matrices: exact integers
+    b = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(float)
+    return b @ (1.0 - b).T + (1.0 - b) @ b.T
 
 
 def _symmetric_group(n):
@@ -320,16 +313,11 @@ class KernelMatrix:
 
 def nearest_neighbor_kernel(space):
     """Uniform jump kernel onto each point's nearest neighbors (the points
-    attaining its minimal positive distance)."""
+    attaining its minimal positive distance); a lone point keeps its mass."""
     d = space.dist
-    n = space.n
-    m = np.zeros((n, n))
-    for x in range(n):
-        pos = d[x][d[x] > 0]
-        r = pos.min()
-        nb = np.flatnonzero(np.abs(d[x] - r) <= 1e-12 * (1.0 + r))
-        m[x, nb] = 1.0 / len(nb)
-    return KernelMatrix(m, row_stochastic=True)
+    r = np.where(d > 0, d, np.inf).min(axis=1, keepdims=True)
+    nb = np.abs(d - r) <= 1e-12 * (1.0 + r)
+    return KernelMatrix(nb / nb.sum(axis=1, keepdims=True), row_stochastic=True)
 
 
 def kernel_moment_L(space, kernel):

@@ -93,8 +93,8 @@ class Coupling:
         p = np.zeros((n, n))
         pos = self.mu > 0
         p[pos] = self.matrix[pos] / self.mu[pos, None]
-        for x in np.flatnonzero(~pos):
-            p[x, x] = 1.0
+        null = np.flatnonzero(~pos)
+        p[null, null] = 1.0
         return p
 
     def second_marginal(self):
@@ -212,7 +212,7 @@ def _line_search(mu, pos, means, dm, cost, gmax):
     """Exact minimizer of g -> sum mu alpha(means + g dm) on [0, gmax]."""
     if gmax <= 0:
         return 0.0
-    if cost.kind == "quadratic":
+    if cost.kind != "qlin" and cost.p == 2.0:
         den = float(np.sum(mu[pos] * dm[pos] ** 2))
         num = -float(np.sum(mu[pos] * means[pos] * dm[pos]))
         return gmax if den <= 0 else min(gmax, max(0.0, num / den))

@@ -307,6 +307,14 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip() == "0.1.0"
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["examples", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    assert "usage: weakhj" in capsys.readouterr().out
+
+
 def _readme_commands():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
@@ -403,3 +411,29 @@ def test_bad_count_or_grid_is_error_object(argv, kind, capsys):
     err = _strict_json(out)["error"]
     assert err["type"] == kind
     assert ">= 1" in err["message"] or "cap" in err["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    "te-verify --space two_point --C 1 --samples abc",
+    "qtilde --space two_point --f 1,0",
+    "bogus",
+    "constants --space two_point --restarts 1.5",
+    "examples nine",
+    "",
+], ids=lambda v: v or "no-command")
+def test_usage_error_is_error_object(argv, capsys):
+    code = run(argv.split())
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    err = _strict_json(captured.out)["error"]
+    assert err["type"] == "input"
+    assert err["message"].startswith("weakhj")
+
+
+@pytest.mark.parametrize("which", ["hypercube", "symmetric-group"])
+def test_examples_size_zero_is_error_object(which, capsys):
+    code, out = invoke(capsys, "examples", which, "--n", "0", "--restarts", "1")
+    assert code == 1
+    err = _strict_json(out)["error"]
+    assert err["type"] == "value"
+    assert ">= " in err["message"]

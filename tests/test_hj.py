@@ -254,7 +254,7 @@ def test_obstruction_adversarial_only_still_finds():
 
 
 def test_obstruction_zero_family_premise_failure():
-    res = obstruction_search(TWO_POINT, d_family=lambda t, x, y: 0.0)
+    res = obstruction_search(TWO_POINT, d_family=lambda t: np.zeros((2, 2)))
     assert res.status == "premise-failure"
     assert res.witness is None
     assert res.functions_tried == 0
@@ -264,11 +264,18 @@ def test_obstruction_zero_family_premise_failure():
 
 def test_obstruction_rejects_nonzero_diagonal():
     with pytest.raises(ValueError, match="vanish"):
-        obstruction_search(TWO_POINT, d_family=lambda t, x, y: 1.0)
+        obstruction_search(TWO_POINT, d_family=lambda t: np.ones((2, 2)))
     with pytest.raises(ValueError, match="positive"):
         obstruction_search(TWO_POINT, t_grid=(0.5, -1.0))
     with pytest.raises(ValueError, match="positive"):
         obstruction_search(TWO_POINT, t_grid=())
+
+
+def test_obstruction_rejects_family_of_wrong_shape():
+    with pytest.raises(ValueError, match="shape"):
+        obstruction_search(TWO_POINT, d_family=lambda t: np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="shape"):
+        obstruction_search(TWO_POINT, d_family=lambda t: 0.0)
 
 
 def test_obstruction_single_point_exhausted():

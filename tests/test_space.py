@@ -263,6 +263,20 @@ def test_nearest_neighbor_kernel_path():
     assert k.row_stochastic
 
 
+def test_nearest_neighbor_kernel_matches_row_reference():
+    """The array form equals the row-by-row construction exactly."""
+    rng = np.random.default_rng(11)
+    spaces = example_spaces() + [build_example("symmetric_group", 3)]
+    spaces += [random_connected_space(rng) for _ in range(30)]
+    for sp in spaces:
+        expected = np.zeros((sp.n, sp.n))
+        for x in range(sp.n):
+            r = sp.dist[x][sp.dist[x] > 0].min()
+            nb = np.flatnonzero(np.abs(sp.dist[x] - r) <= 1e-12 * (1.0 + r))
+            expected[x, nb] = 1.0 / len(nb)
+        np.testing.assert_array_equal(nearest_neighbor_kernel(sp).matrix, expected)
+
+
 def test_kernel_moment_values():
     sp = build_example("hypercube", 3)
     assert kernel_moment_L(sp, nearest_neighbor_kernel(sp)) == 1.0

@@ -112,6 +112,20 @@ def test_weak_cost_is_asymmetric():
     assert spread < concentrate
 
 
+@pytest.mark.parametrize("kind, n, nu, mu", [
+    ("two_point", None, [0.8, 0.2], [0.3, 0.7]),
+    ("hypercube", 2, [0.4, 0.3, 0.2, 0.1], [0.25, 0.25, 0.25, 0.25]),
+    ("hypercube", 2, [0.1, 0.2, 0.3, 0.4], [0.5, 0.0, 0.2, 0.3]),
+])
+def test_power_two_solves_exactly_like_quadratic(kind, n, nu, mu):
+    space = build_example(kind, n)
+    a = weak_transport_cost(nu, mu, power(2), space)
+    b = weak_transport_cost(nu, mu, quadratic(), space)
+    assert (a.value, a.gap, a.iterations, a.converged) == (
+        b.value, b.gap, b.iterations, b.converged)
+    assert np.array_equal(a.coupling.matrix, b.coupling.matrix)
+
+
 def test_weak_cost_zero_iff_equal():
     rng = np.random.default_rng(11)
     for k in range(40):
