@@ -55,6 +55,17 @@ class CostFunction:
             out = x ** (self.p - 1.0)
         return out if out.ndim else float(out)
 
+    def deriv2(self, x):
+        """Second derivative; the qlin kink at h takes the left value 2a,
+        and power costs with p < 2 give +inf at 0."""
+        x = np.asarray(x, dtype=float)
+        if self.kind == "qlin":
+            out = np.where(x <= self.h, 2 * self.a, 0.0)
+        else:
+            with np.errstate(divide="ignore"):
+                out = (self.p - 1.0) * x ** (self.p - 2.0)
+        return out if out.ndim else float(out)
+
     def conjugate(self, y):
         """Legendre transform sup_{x>=0} (xy - alpha(x)); +inf past the
         slope bound of the qlin variant."""

@@ -205,7 +205,6 @@ def test_transport_fixture_and_small_space_oracle():
     assert worst <= 1e-6
 
 
-@pytest.mark.slow
 def test_entropy_transport_dual_chain_coheres():
     for kind, n in CHAIN_SPACES:
         sp = build_example(kind, n)

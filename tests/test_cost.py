@@ -113,10 +113,33 @@ def test_convexity_and_monotone_deriv():
         assert np.all(midw <= 0.5 * (w[:-1] + w[1:]) + 1e-12)
 
 
+def test_second_derivative_matches_central_differences():
+    # the grids straddle qlin's kink at h without touching it, and reach
+    # down to 1e-6 where power(3)'s curvature 2x vanishes
+    grids = {
+        "quadratic": np.linspace(0.0, 5.0, 51),
+        "power:p=3": np.concatenate([np.logspace(-6, -1, 11), np.linspace(0.2, 5.0, 25)]),
+        "power:p=1.5": np.concatenate([np.logspace(-3, -1, 5), np.linspace(0.2, 5.0, 25)]),
+        "qlin:a=1,h=1": np.concatenate([1.0 + np.array([-1e-2, -1e-3, 1e-3, 1e-2]),
+                                        np.linspace(0.0, 0.9, 10), np.linspace(1.1, 5.0, 10)]),
+        "qlin:a=0.25,h=2": 2.0 + np.array([-0.5, -1e-3, 1e-3, 0.5]),
+    }
+    for c in ALL_COSTS:
+        xs = grids[c.label()]
+        step = 1e-5 * np.minimum(xs, 1.0) + 1e-9
+        fd = (c.deriv(xs + step) - c.deriv(np.maximum(xs - step, 0.0))) / (
+            xs + step - np.maximum(xs - step, 0.0))
+        np.testing.assert_allclose(c.deriv2(xs), fd, rtol=1e-5, atol=1e-8, err_msg=c.label())
+    assert power(3.0).deriv2(0.0) == 0.0
+    assert power(1.5).deriv2(0.0) == math.inf
+    qlin = quadratic_linear(1.0, 1.0)
+    assert (qlin.deriv2(1.0), qlin.deriv2(1.0 + 1e-12)) == (2.0, 0.0)
+
+
 def test_vectorized_matches_scalar():
     xs = np.linspace(0.0, 5.0, 11)
     for c in ALL_COSTS:
-        for name in ("eval", "deriv", "conjugate", "beta"):
+        for name in ("eval", "deriv", "deriv2", "conjugate", "beta"):
             fn = getattr(c, name)
             vec = fn(xs)
             scal = np.array([fn(float(x)) for x in xs])
@@ -139,7 +162,7 @@ def test_parameter_validation():
 def test_quadratic_is_power_two_exactly():
     q, p2 = quadratic(), power(2)
     grid = np.concatenate([[0.0], np.logspace(-8, 3, 2001)])
-    for name in ("eval", "deriv", "conjugate", "conjugate_deriv", "beta"):
+    for name in ("eval", "deriv", "deriv2", "conjugate", "conjugate_deriv", "beta"):
         a, b = getattr(q, name), getattr(p2, name)
         assert np.array_equal(a(grid), b(grid)), name
         assert [a(float(x)) for x in grid] == [b(float(x)) for x in grid], name

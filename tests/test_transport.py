@@ -18,6 +18,7 @@ from weakhj.transport import (
     transport_oracle_small,
     weak_transport_cost,
     _ot_plan,
+    _sample_measure,
 )
 
 from randspaces import random_connected_space
@@ -206,7 +207,6 @@ def test_oracle_fixture_and_size_limit():
         )
 
 
-@pytest.mark.slow
 def test_jensen_dominated_by_classical_cost():
     # averaging distances before applying the convex cost can only help
     rng = np.random.default_rng(17)
@@ -217,9 +217,37 @@ def test_jensen_dominated_by_classical_cost():
         mu = rng.dirichlet(np.ones(sp.n))
         nu = rng.dirichlet(np.ones(sp.n))
         cost = quadratic() if k % 2 else power(p=4)
-        weak = weak_transport_cost(nu, mu, cost, sp).value
+        res = weak_transport_cost(nu, mu, cost, sp)
+        assert res.converged, k
         classical = classical_transport_cost(nu, mu, cost, sp)
-        assert weak <= classical + 1e-9
+        assert res.value <= classical + 1e-9
+
+
+def _hypercube_draws(count):
+    # the mixed sampler's law on hypercube:3: odd draws charge two points
+    rng = np.random.default_rng(5)
+    return [_sample_measure(rng, 8, k, "mixed") for k in range(count)]
+
+
+def test_flat_curvature_instance_converges():
+    # power(3) has alpha''(0) = 0; pairwise Frank-Wolfe needed 324
+    # iterations here and stopped at value 0.0252060692 with gap 8.1e-9
+    nu = _hypercube_draws(31)[30]
+    res = weak_transport_cost(uniform_measure(8), nu, power(3), build_example("hypercube", 3))
+    assert res.converged
+    assert res.gap <= 1e-8
+    assert abs(res.value - 0.0252060692) <= 1e-8
+
+
+def test_hypercube_power_three_set_converges():
+    # Frank-Wolfe left one of these 200 solves unconverged at 10 000 iterations
+    sp = build_example("hypercube", 3)
+    mu = uniform_measure(8)
+    for k, nu in enumerate(_hypercube_draws(100)):
+        for pair in ((mu, nu), (nu, mu)):
+            res = weak_transport_cost(*pair, power(3), sp)
+            assert res.converged and res.gap <= 1e-8, k
+            assert_allclose(res.coupling.second_marginal(), pair[0], atol=1e-10)
 
 
 def test_unconverged_run_is_flagged():
@@ -296,6 +324,22 @@ def test_transport_entropy_validation():
         check_transport_entropy(mu, 0.5, quadratic(), sp, direction="III")
     with pytest.raises(ValueError, match="sampler"):
         check_transport_entropy(mu, 0.5, quadratic(), sp, sampler="other")
+
+
+def test_transport_entropy_records_solver_telemetry():
+    sp = build_example("hypercube", n=2)
+    mu = uniform_measure(4)
+    rep = check_transport_entropy(mu, 0.25, power(3), sp, n_samples=40, seed=3)
+    solver = rep.details["solver"]
+    assert set(solver) == {"calls", "unconverged", "iterations_p50",
+                           "iterations_max", "worst_gap"}
+    # one solve per evaluated sample, then the three tight re-solves
+    assert solver["calls"] == rep.iterations + 3
+    assert solver["unconverged"] == 0
+    assert 1 <= solver["iterations_p50"] <= solver["iterations_max"]
+    assert 0.0 <= solver["worst_gap"] <= 1e-8
+    again = check_transport_entropy(mu, 0.25, power(3), sp, n_samples=40, seed=3)
+    assert again.details == rep.details
 
 
 def test_transport_entropy_reproducible():
