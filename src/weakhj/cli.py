@@ -7,7 +7,8 @@ wrapped in a run manifest (command, input digests, seed, version, wall
 time); `--csv` flattens the result payload into key,value rows instead.
 Both go through `space.jsonable`, so a non-finite number prints as null.
 
-Exit codes: 0 success or verified; 2 verified violation, with the
+Exit codes: 0 success or verified, and also a sweep that evaluated no
+sample (verdict "inconclusive"); 2 verified violation, with the
 witness in the payload; 1 input error or solver failure, with a
 machine-readable error object.  `--seed` (default 0) fixes every
 stochastic sweep.
@@ -309,7 +310,10 @@ def _cmd_chain_verify(args, inputs):
     mu = _load_vector_arg(args.mu, "mu", inputs) if args.mu else None
     payload = chain_report(space, mu, C=args.C, restarts=args.restarts,
                            samples=args.samples, seed=args.seed)
-    return payload, 0 if payload["coherent"] else 2
+    legs = [payload["mlsi"], payload["dual"], *payload["transport"].values()]
+    violated = (any(leg["verdict"] == "violated" for leg in legs)
+                or any(hc["violations"] for hc in payload["hypercontractivity"]))
+    return payload, 2 if violated else 0
 
 
 def _cmd_examples(args, inputs):

@@ -135,7 +135,8 @@ class InequalityReport:
 
     `best_ratio` is the largest LHS/RHS ratio found and `witness` the
     function (or measure) achieving it.  The verdict is "violated" only
-    when the witness re-evaluates above `constant` + RATIO_SLACK.
+    when the witness re-evaluates above `constant` + RATIO_SLACK, and
+    "inconclusive" when a sampled sweep evaluated no sample.
     """
 
     inequality: str
@@ -159,6 +160,33 @@ class InequalityReport:
 def verdict(ratio, constant):
     """The verdict of a report whose best ratio is tested against `constant`."""
     return "violated" if ratio > constant + RATIO_SLACK else "certified-no-violation"
+
+
+def _sweep(inequality, constant, samples, seed, evaluate, details, threshold=None):
+    """The loop of every sampled verifier.
+
+    `evaluate(rng, k)` draws the k-th sample from one generator seeded
+    with `seed` and returns None to skip it, else (score, ratio,
+    witness).  The first sample of highest score wins: its ratio is the
+    report's `best_ratio`, and its score is tested against `threshold`
+    (default `constant`) and passed to `details(score)`.  `iterations`
+    counts the evaluated samples; a sweep that evaluated none is
+    "inconclusive".
+    """
+    samples = as_count(samples, "samples")
+    rng = np.random.default_rng(seed)
+    best, ratio, witness, evaluated = -math.inf, 0.0, None, 0
+    for k in range(samples):
+        out = evaluate(rng, k)
+        if out is None:
+            continue
+        evaluated += 1
+        if out[0] > best:
+            best, ratio, witness = out
+    tested = "inconclusive" if not evaluated else verdict(
+        best, constant if threshold is None else threshold)
+    return InequalityReport(inequality, constant, ratio, witness, tested, 1,
+                            evaluated, seed, details(best))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +392,6 @@ def toto_bridge_check(mu, K, space, samples=200, seed=0):
     with L the second distance moment of K.  Detailed balance is a
     premise and is checked first.
     """
-    samples = as_count(samples, "samples")
     mu = as_measure(mu, space.n)
     balance = check_detailed_balance(mu, K)
     if not balance["holds"]:
@@ -373,30 +400,17 @@ def toto_bridge_check(mu, K, space, samples=200, seed=0):
             f"(asymmetry {balance['max_asymmetry']:.3e})"
         )
     L = kernel_moment_L(space, K)
-    bound = 2.0 * L
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    witness = None
-    for k in range(samples):
+
+    def evaluate(rng, k):
         f = _seed_function(rng, space, k)
-        g = tilde_gradient(f, space)
-        denom = float(mu @ (g ** 2 * np.exp(f)))
+        denom = float(mu @ (tilde_gradient(f, space) ** 2 * np.exp(f)))
         if denom <= 1e-14:
-            continue
+            return None
         ratio = classical_mlsi_rhs(f, mu, K) / denom
-        if ratio > best:
-            best, witness = ratio, f
-    return InequalityReport(
-        "kernel-bridge",
-        bound,
-        best,
-        witness,
-        verdict(best, bound),
-        1,
-        samples,
-        seed,
-        {"L": L},
-    )
+        return ratio, ratio, f
+
+    return _sweep("kernel-bridge", 2.0 * L, samples, seed, evaluate,
+                  lambda _: {"L": L})
 
 
 # ---------------------------------------------------------------------------
@@ -546,31 +560,18 @@ def herbst_tail_check(mu, C, space, samples=200, seed=0):
     """Sampled check of the Gaussian tail bound mu(f >= h) <= e^{-h^2/(4C)}
     for centered 1-Lipschitz functions; C is a certified transport or
     entropy constant.  The reported ratio is tail mass over bound."""
-    samples = as_count(samples, "samples")
     mu = as_measure(mu, space.n)
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    witness = None
-    for k in range(samples):
+
+    def evaluate(rng, k):
         f = _seed_function(rng, space, k)
         lip = lipschitz_seminorm(f, space)
         if lip <= 1e-14:
-            continue
+            return None
         f = f / lip
         f = f - float(mu @ f)
-        for h in np.unique(f[f > 1e-12]):
-            tail = float(mu @ (f >= h - 1e-12))
-            ratio = tail / math.exp(-h * h / (4.0 * C))
-            if ratio > best:
-                best, witness = ratio, f
-    return InequalityReport(
-        "herbst-tail",
-        1.0,
-        best,
-        witness,
-        verdict(best, 1.0),
-        1,
-        samples,
-        seed,
-        {"C": float(C)},
-    )
+        ratio = max((float(mu @ (f >= h - 1e-12)) / math.exp(-h * h / (4.0 * C))
+                     for h in np.unique(f[f > 1e-12])), default=0.0)
+        return ratio, ratio, f
+
+    return _sweep("herbst-tail", 1.0, samples, seed, evaluate,
+                  lambda _: {"C": float(C)})

@@ -97,7 +97,8 @@ def chain_report(space, mu=None, C=None, restarts=24, samples=300, seed=0):
     at C = 2 C_m: sampled transport-entropy checks in both directions
     at C_m, the exponential dual bound at C, and hypercontractive norm
     growth with exponent rho + 2t/C on a small (rho, t) grid.
-    `coherent` is True when every leg certifies.
+    `coherent` is True when every leg certifies: a violated or an
+    inconclusive leg makes it False.
     """
     cost = quadratic()
     mu = uniform_measure(space.n) if mu is None else as_measure(mu, space.n)
@@ -130,8 +131,8 @@ def chain_report(space, mu=None, C=None, restarts=24, samples=300, seed=0):
                         "functions": 50, "violations": violations,
                         "min_margin": float(worst)})
 
-    legs_ok = (not est.violated and not te["I"].violated
-               and not te["II"].violated and not dual.violated and hc_ok)
+    legs_ok = hc_ok and all(leg.verdict == "certified-no-violation"
+                            for leg in (est, te["I"], te["II"], dual))
     return {
         "space": {"n": space.n, "diameter": space.diameter},
         "cost": cost.label(),

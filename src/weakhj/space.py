@@ -24,6 +24,7 @@ from scipy.sparse.csgraph import shortest_path
 HYPERCUBE_MAX_N = 12
 SYMMETRIC_GROUP_MAX_N = 5
 METRIC_TOL = 1e-9
+BALANCE_TOL = 1e-10
 
 
 def jsonable(obj):
@@ -53,9 +54,10 @@ class MetricViolation(ValueError):
         self.witness = witness
 
 
-def check_metric(dist, tol=METRIC_TOL):
+def check_metric(dist):
     """Return None if `dist` is a metric, else a dict naming the first
-    violated axiom with a witness index pair/triple."""
+    violated axiom with a witness index pair/triple; entries within
+    METRIC_TOL of an axiom count as meeting it."""
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         return {"axiom": "shape", "detail": f"expected square matrix, got {d.shape}"}
@@ -64,21 +66,21 @@ def check_metric(dist, tol=METRIC_TOL):
         i, j = np.argwhere(~np.isfinite(d))[0]
         return {"axiom": "finiteness", "witness": (int(i), int(j))}
     for i in range(n):
-        if abs(d[i, i]) > tol:
+        if abs(d[i, i]) > METRIC_TOL:
             return {"axiom": "identity", "witness": (i, i), "value": float(d[i, i])}
     off = ~np.eye(n, dtype=bool)
-    bad = np.argwhere((d <= tol) & off)
+    bad = np.argwhere((d <= METRIC_TOL) & off)
     if bad.size:
         i, j = bad[0]
         return {"axiom": "positivity", "witness": (int(i), int(j)), "value": float(d[i, j])}
-    asym = np.argwhere(np.abs(d - d.T) > tol)
+    asym = np.argwhere(np.abs(d - d.T) > METRIC_TOL)
     if asym.size:
         i, j = asym[0]
         return {"axiom": "symmetry", "witness": (int(i), int(j)),
                 "values": (float(d[i, j]), float(d[j, i]))}
     for j in range(n):
         slack = d - (d[:, j][:, None] + d[j, :][None, :])
-        bad = np.argwhere(slack > tol)
+        bad = np.argwhere(slack > METRIC_TOL)
         if bad.size:
             i, k = bad[0]
             return {"axiom": "triangle", "witness": (int(i), int(j), int(k)),
@@ -129,10 +131,10 @@ class MetricSpace:
         return jsonable({"dist": self.dist, "labels": self.labels})
 
 
-def validate_metric(dist, labels=None, tol=METRIC_TOL):
+def validate_metric(dist, labels=None):
     """Build a MetricSpace from a distance matrix, raising MetricViolation
     with a witness on the first failed axiom."""
-    violation = check_metric(dist, tol=tol)
+    violation = check_metric(dist)
     if violation is not None:
         raise MetricViolation(f"not a metric: {violation}", violation)
     return MetricSpace(np.array(dist, dtype=float), tuple(labels or ()))
@@ -325,14 +327,15 @@ def kernel_moment_L(space, kernel):
     return float(np.max(np.sum(space.dist ** 2 * kernel.matrix, axis=1)))
 
 
-def check_detailed_balance(mu, kernel, tol=1e-10):
-    """Check mu(x) K(x,y) == mu(y) K(y,x); returns verdict with a witness."""
+def check_detailed_balance(mu, kernel):
+    """Check mu(x) K(x,y) == mu(y) K(y,x) to BALANCE_TOL; returns verdict
+    with a witness."""
     m = kernel.matrix
     mu = as_measure(mu, m.shape[0])
     flow = mu[:, None] * m
     gap = np.abs(flow - flow.T)
     worst = float(gap.max())
-    report = {"holds": worst <= tol, "max_asymmetry": worst}
+    report = {"holds": worst <= BALANCE_TOL, "max_asymmetry": worst}
     if not report["holds"]:
         i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
         report["witness"] = (int(i), int(j))

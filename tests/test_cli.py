@@ -140,6 +140,22 @@ def test_te_verify_certified_exit_zero(capsys):
     assert doc["result"]["verdict"] == "certified-no-violation"
 
 
+def test_sweep_without_evaluated_sample_is_inconclusive(capsys):
+    # mu = (1, 0): every sampled nu charges the mu-null point, so H is
+    # infinite and no sample is evaluated, whatever C is
+    code, doc = invoke_json(capsys, "te-verify", "--space", "two_point",
+                            "--mu", "1,0", "--C", "0.001", "--samples", "50")
+    assert code == 0
+    assert doc["result"]["verdict"] == "inconclusive"
+    assert doc["result"]["iterations"] == 0
+    # an inconclusive leg breaks coherence, but only a violation exits 2
+    code, doc = invoke_json(capsys, "chain-verify", "--space", "two_point",
+                            "--mu", "1,0", "--C", "1", "--samples", "20",
+                            "--restarts", "2")
+    assert code == 0 and doc["result"]["coherent"] is False
+    assert doc["result"]["transport"]["I"]["verdict"] == "inconclusive"
+
+
 def test_constants_chain_bookkeeping(capsys):
     code, doc = invoke_json(capsys, "constants", "--space", "two_point",
                             "--restarts", "8")

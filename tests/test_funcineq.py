@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from weakhj import funcineq, transport
 from weakhj.calculus import lipschitz_seminorm
 from weakhj.cost import quadratic, quadratic_linear
 from weakhj.funcineq import (
@@ -25,11 +27,12 @@ from weakhj.funcineq import (
 )
 from weakhj.space import (
     KernelMatrix,
+    MetricSpace,
     build_example,
     nearest_neighbor_kernel,
     uniform_measure,
 )
-from weakhj.transport import dual_check
+from weakhj.transport import check_transport_entropy, dual_check, dual_sweep
 
 from randspaces import example_spaces
 
@@ -426,6 +429,38 @@ def test_herbst_tail_two_point():
     assert rep.best_ratio < 1.0
     rep = herbst_tail_check(mu, 0.05, sp, samples=200, seed=0)
     assert rep.verdict == "violated"
+
+
+def test_sweeps_count_evaluated_samples(monkeypatch):
+    # every third test function is constant, which the bridge and tail
+    # sweeps skip and the dual sweep evaluates; `iterations` counts the
+    # samples each sweep evaluated, not its draws
+    seed_function = funcineq._seed_function
+
+    def draw(rng, space, k):
+        f = seed_function(rng, space, k)
+        return np.zeros_like(f) if k % 3 == 0 else f
+
+    monkeypatch.setattr(funcineq, "_seed_function", draw)
+    monkeypatch.setattr(transport, "_seed_function", draw)
+    sp = build_example("two_point")
+    mu = uniform_measure(2)
+    kernel = KernelMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert toto_bridge_check(mu, kernel, sp, samples=30).iterations == 20
+    assert herbst_tail_check(mu, 1.0, sp, samples=30).iterations == 20
+    assert dual_sweep(mu, 1.0, quadratic(), sp, n_samples=30).iterations == 30
+    # nu = mu has zero entropy and is skipped
+    nus = itertools.cycle([mu, np.array([0.9, 0.1]), np.array([1.0, 0.0])])
+    rep = check_transport_entropy(mu, 1.0, quadratic(), sp, n_samples=30,
+                                  sampler=lambda rng, n: next(nus))
+    assert rep.iterations == rep.details["solver"]["calls"] == 20
+    # a one-point space has only constant functions: nothing is evaluated
+    point = MetricSpace(np.zeros((1, 1)))
+    one = np.ones(1)
+    for rep in (toto_bridge_check(one, nearest_neighbor_kernel(point), point),
+                herbst_tail_check(one, 1.0, point)):
+        assert rep.iterations == 0
+        assert rep.verdict == "inconclusive" and rep.witness is None
 
 
 def test_report_serialization():
