@@ -8,9 +8,9 @@ time); `--csv` flattens the result payload into key,value rows instead.
 Both go through `space.jsonable`, so a non-finite number prints as null.
 
 Exit codes: 0 success or verified, and also a sweep that evaluated no
-sample (verdict "inconclusive"); 2 verified violation, with the
-witness in the payload; 1 input error or solver failure, with a
-machine-readable error object.  `--seed` (default 0) fixes every
+sample or rested on an unconverged solve (verdict "inconclusive"); 2
+verified violation, with the witness in the payload; 1 input error or
+solver failure, with a machine-readable error object.  `--seed` (default 0) fixes every
 stochastic sweep.
 """
 

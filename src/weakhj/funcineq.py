@@ -136,7 +136,8 @@ class InequalityReport:
     `best_ratio` is the largest LHS/RHS ratio found and `witness` the
     function (or measure) achieving it.  The verdict is "violated" only
     when the witness re-evaluates above `constant` + RATIO_SLACK, and
-    "inconclusive" when a sampled sweep evaluated no sample.
+    "inconclusive" when a sampled sweep evaluated no sample or, short of
+    a violation, rested on an unconverged transport solve.
     """
 
     inequality: str

@@ -128,12 +128,27 @@ def _ot_plan(costs, supply, demand):
     successive shortest paths in the residual graph (an arc i -> j at cost
     c_ij, and j -> i at -c_ij wherever the plan ships i -> j).  The negative
     arcs call for Bellman-Ford; a label moves only when it improves by more
-    than `tol`, so a tie cannot let the parent pointers close a cycle."""
+    than `tol`, so a tie cannot let the parent pointers close a cycle.  Each
+    pass gathers a label's minimum from one argmin and updates labels and
+    parents in place where they improve.
+
+    Every caller's cost is square, non-negative and zero on the diagonal
+    (a multiple of the metric, row by row).  For such a cost the paths
+    start from the plan that ships min(supply, demand) from each point to
+    itself: it is optimal for the masses it ships, because every cycle of
+    its residual graph costs at least 0, and it takes the place of the
+    augmentations that would each ship along one zero-cost arc x -> x."""
     ns, nd = costs.shape
     sup = np.array(supply, dtype=float)
     dem = np.array(demand, dtype=float)
     flow = np.zeros((ns, nd))
+    if ns == nd and costs.min() >= 0 and not np.diagonal(costs).any():
+        ship = np.minimum(sup, dem)
+        np.fill_diagonal(flow, ship)
+        sup -= ship  # one of the two becomes exactly 0
+        dem -= ship
     tol = 1e-12 * (1.0 + float(np.max(np.abs(costs))))
+    rows, cols = np.arange(ns), np.arange(nd)
     for _ in range(40 * (ns + nd) + 200):
         if not (sup > 1e-15).any():
             break
@@ -144,15 +159,19 @@ def _ot_plan(costs, supply, demand):
         back = np.where(flow > 1e-18, -costs, np.inf)
         for _ in range(ns + nd):
             reach = ds[:, None] + costs
-            upd_d = reach.min(axis=0) < dd - tol
-            par_d = np.where(upd_d, reach.argmin(axis=0), par_d)
-            dd = np.where(upd_d, reach.min(axis=0), dd)
-            reach = back + dd[None, :]
-            upd_s = reach.min(axis=1) < ds - tol
-            par_s = np.where(upd_s, reach.argmin(axis=1), par_s)
-            ds = np.where(upd_s, reach.min(axis=1), ds)
-            if not upd_s.any():
+            arg = reach.argmin(axis=0)
+            best = reach[arg, cols]
+            upd = best < dd - tol
+            np.copyto(par_d, arg, where=upd)
+            np.copyto(dd, best, where=upd)
+            reach = back + dd
+            arg = reach.argmin(axis=1)
+            best = reach[rows, arg]
+            upd = best < ds - tol
+            if not upd.any():
                 break  # the next sink labels would repeat these
+            np.copyto(par_s, arg, where=upd)
+            np.copyto(ds, best, where=upd)
         else:
             raise SolverError("transport subproblem: path traces a cycle")
         sinks = np.flatnonzero((dem > 1e-15) & (dd < np.inf))
@@ -213,27 +232,50 @@ def _mean_objective(pi, mu, dist, cost):
 
 
 def _line_search(mu, pos, means, dm, cost, gmax):
-    """Exact minimizer of g -> sum mu alpha(means + g dm) on [0, gmax]."""
+    """Exact minimizer of g -> sum mu alpha(means + g dm) on [0, gmax].
+
+    The quadratic cost has a closed form.  Otherwise the minimizer is the
+    root of the non-decreasing slope s(g) = sum mu dm alpha'(means + g dm),
+    found by Newton steps with the curvature s'(g) from alpha''.  Each
+    evaluation of s narrows the bracket [lo, hi] around the root, and a
+    step that would leave the bracket, or a curvature that is 0 or
+    infinite (qlin past h on every moving row, p < 2 at a row mean of 0),
+    falls back to bisection.  A slope that is nan counts as positive: a
+    row mean that reaches 0 at gmax can land a rounding error below it,
+    where a fractional power is nan.  Stops when a Newton step or the
+    bracket is down to the last bits of g."""
     if gmax <= 0:
         return 0.0
     if cost.kind != "qlin" and cost.p == 2.0:
         den = float(np.sum(mu[pos] * dm[pos] ** 2))
         num = -float(np.sum(mu[pos] * means[pos] * dm[pos]))
         return gmax if den <= 0 else min(gmax, max(0.0, num / den))
-
-    def slope(g):
-        return float(np.sum(mu[pos] * dm[pos] * cost.deriv(means[pos] + g * dm[pos])))
-
-    if slope(gmax) <= 0:
+    # rows that do not move add nothing, and would add 0 * inf to s'
+    moving = pos & (dm != 0)
+    w, m, d = mu[moving] * dm[moving], means[moving], dm[moving]
+    if float(w @ cost.deriv(m + gmax * d)) <= 0:
         return gmax
-    lo, hi = 0.0, gmax
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if slope(mid) < 0:
-            lo = mid
+    wd = w * d
+    lo, hi, g = 0.0, gmax, 0.0
+    for _ in range(100):
+        at = m + g * d
+        s = float(w @ cost.deriv(at))
+        if s < 0:
+            lo = g
+        elif s == 0:
+            return g
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi = g
+        curv = float(wd @ cost.deriv2(at))
+        step = s / curv if 0 < curv < math.inf else math.inf
+        if abs(step) <= 2 * EPS * g:
+            return g
+        g -= step
+        if not lo < g < hi:
+            g = 0.5 * (lo + hi)
+            if hi - lo <= 4 * EPS * hi:
+                return g
+    return g
 
 
 def _master(atoms, lam, mu, pos, dist, cost, tol):
@@ -308,12 +350,15 @@ def weak_transport_cost(nu, mu, cost, space, gap_tol=1e-8, max_iter=10000):
     Each round linearizes at the current plan and solves the induced
     classical transport problem exactly (`_ot_plan`); the linearization
     gap against that vertex bounds the distance to the optimum, and the
-    run stops once the gap is below gap_tol or at the rounding floor of
-    its own sum, whichever is larger.  Otherwise the vertex joins
-    the atoms and the plan is re-optimized over the convex hull of all
-    atoms (the restricted master problem in the atom weights; one exact
-    line search while there are at most two atoms, projected Newton
-    steps after that), and atoms left with weight 0 are dropped.
+    run stops once the gap is below gap_tol or at its rounding floor,
+    whichever is larger.  The gap is the difference of two sums of n^2
+    non-negative terms, the linearized costs of the plan and of the
+    vertex, each about the size of the value, so its floor is n^2 eps
+    times their total.  Otherwise the vertex joins the atoms and the
+    plan is re-optimized over the convex hull of all atoms (the
+    restricted master problem in the atom weights; one exact line search
+    while there are at most two atoms, projected Newton steps after
+    that), and atoms left with weight 0 are dropped.
     `iterations` counts rounds, one transport subproblem each.  A vertex
     that is already an atom means the master stalled: the run stops
     unconverged.  The product coupling makes infeasibility impossible.
@@ -334,9 +379,7 @@ def weak_transport_cost(nu, mu, cost, space, gap_tol=1e-8, max_iter=10000):
         target = _ot_plan(grad, mu, nu)
         terms = grad * (pi - target)
         gap = float(terms.sum())
-        # a sum of N terms cannot resolve less than N eps times their
-        # absolute sum: a gap at that floor has converged at any gap_tol
-        if gap <= gap_tol or gap <= terms.size * EPS * float(np.abs(terms).sum()):
+        if gap <= gap_tol or gap <= terms.size * EPS * float(np.sum(grad * (pi + target))):
             return TransportResult(value, Coupling(pi, mu), gap, it + 1, True)
         if any(np.array_equal(a, target) for a in atoms):
             return TransportResult(value, Coupling(pi, mu), gap, it + 1, False)
@@ -496,7 +539,9 @@ def check_transport_entropy(
     (`details.certified_ratio`).  `best_ratio` is value/H of the same
     sample.  `details.solver` counts the solves: `calls`, `unconverged`,
     `iterations_p50`, `iterations_max` (rounds, one linear transport
-    subproblem each) and `worst_gap`.
+    subproblem each) and `worst_gap`.  A certified ratio above C is a
+    violation whether or not its solve converged; short of one, a sweep
+    with an unconverged solve is "inconclusive".
     """
     C = as_positive(C, "transport constant")
     if direction not in ("I", "II"):
@@ -527,7 +572,10 @@ def check_transport_entropy(
         return {"cost": cost.label(), "samples": n_samples,
                 "certified_ratio": certified, "solver": solver}
 
-    return _sweep("transport-entropy-" + direction, C, n_samples, seed, evaluate, details)
+    rep = _sweep("transport-entropy-" + direction, C, n_samples, seed, evaluate, details)
+    if rep.verdict != "violated" and any(not ok for _, ok, _ in solves):
+        rep.verdict = "inconclusive"
+    return rep
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import linprog
 
-from weakhj.cost import power, quadratic
+from weakhj import transport
+from weakhj.cost import power, quadratic, quadratic_linear
 from weakhj.space import MetricSpace, build_example, uniform_measure
 from weakhj.transport import (
     Coupling,
@@ -17,11 +19,12 @@ from weakhj.transport import (
     relative_entropy,
     transport_oracle_small,
     weak_transport_cost,
+    _line_search,
     _ot_plan,
     _sample_measure,
 )
 
-from randspaces import random_connected_space
+from randspaces import example_spaces, random_connected_space
 
 
 def test_relative_entropy_fixtures():
@@ -59,6 +62,24 @@ def _linear_plan_cases():
         sup = rng.integers(0, 4, ns).astype(float) + (np.arange(ns) == 0)
         dem = rng.integers(0, 4, nd).astype(float) + (np.arange(nd) == nd - 1)
         yield rng.integers(0, 3, (ns, nd)).astype(float), sup / sup.sum(), dem / dem.sum()
+    spaces = example_spaces()
+    for k in range(60):
+        # the costs the solvers pass, a metric scaled row by row: zero on
+        # the diagonal, so the plan starts from shipping each point's
+        # common mass to itself.  Integer scales zero whole rows and, on
+        # the integer example metrics, tie everywhere; integer masses put
+        # zeros in both histograms
+        sp = spaces[k % len(spaces)] if k % 2 else random_connected_space(rng)
+        n = sp.n
+        scale = rng.integers(0, 3, n).astype(float)
+        if k % 4 == 3:
+            scale *= rng.random(n)
+        if k % 3 == 0:
+            sup, dem = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        else:
+            sup = rng.integers(0, 3, n).astype(float) + (np.arange(n) == 0)
+            dem = rng.integers(0, 3, n).astype(float) + (np.arange(n) == n - 1)
+        yield scale[:, None] * sp.dist, sup / sup.sum(), dem / dem.sum()
 
 
 def test_linear_plan_matches_linprog():
@@ -79,6 +100,45 @@ def test_linear_plan_matches_linprog():
         )
         assert ref.success
         assert_allclose(np.sum(costs * plan), ref.fun, atol=1e-9)
+
+
+def _bisection_line_search(mu, pos, means, dm, cost, gmax):
+    # the reference: 80 halvings of [0, gmax] on the sign of the slope
+    def slope(g):
+        return float(np.sum(mu[pos] * dm[pos] * cost.deriv(means[pos] + g * dm[pos])))
+
+    if slope(gmax) <= 0:
+        return gmax
+    lo, hi = 0.0, gmax
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if slope(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("cost", [power(1.5), power(3), power(4),
+                                  quadratic_linear(0.25, 1.0)])
+def test_line_search_matches_bisection(cost):
+    # row means in [0, 2] cross the qlin kink at h = 1; rows at mean 0
+    # give p = 1.5 an infinite curvature, where Newton must bisect
+    rng = np.random.default_rng(8)
+    for k in range(200):
+        n = int(rng.integers(2, 9))
+        mu = rng.dirichlet(np.ones(n))
+        if k % 4 == 0:
+            mu[0] = 0.0
+            mu /= mu.sum()
+        means = 2.0 * rng.random(n)
+        target = 2.0 * rng.random(n)
+        means[rng.random(n) < 0.3] = 0.0
+        target[rng.random(n) < 0.3] = 0.0
+        gmax = (0.5, 1.0, 2.0)[k % 3]
+        dm = (target - means) / gmax
+        args = (mu, mu > 0, means, dm, cost, gmax)
+        assert abs(_line_search(*args) - _bisection_line_search(*args)) <= 1e-12, k
 
 
 @pytest.mark.parametrize("sup, dem", [
@@ -357,6 +417,35 @@ def test_transport_entropy_gap_at_rounding_floor_converges():
     assert rep.verdict == "certified-no-violation"
     assert rep.iterations == 1
     assert rep.details["solver"]["unconverged"] == 0
+
+
+def test_gap_rounding_floor_counts_both_sums():
+    # gap = sum grad pi - sum grad target, and both sums are about the
+    # value: a floor taken from the differenced terms, which vanish at the
+    # optimum, left 10 of these solves unconverged on a held vertex
+    sp = MetricSpace(1e3 * build_example("cycle", 5).dist)
+    rng = np.random.default_rng(11)
+    for k in range(600):
+        mu, nu = rng.dirichlet(np.ones(5)), rng.dirichlet(np.ones(5))
+        res = weak_transport_cost(nu, mu, quadratic(), sp, gap_tol=1e-15)
+        assert res.converged, k
+        assert res.gap <= 1e-14 * res.value, k
+
+
+def test_transport_entropy_unconverged_solve_is_inconclusive(monkeypatch):
+    # every solve starved at one round: no certified violation below C
+    # means nothing was settled, while (value - gap)/H above C still is one
+    sp = build_example("hypercube", n=2)
+    mu = uniform_measure(4)
+    starved = functools.partial(weak_transport_cost, max_iter=1)
+    monkeypatch.setattr(transport, "weak_transport_cost", starved)
+    rep = check_transport_entropy(mu, 0.5, quadratic(), sp, n_samples=100, seed=7)
+    assert rep.details["solver"]["unconverged"] == rep.iterations == 100
+    assert rep.details["certified_ratio"] < 0.5
+    assert rep.verdict == "inconclusive"
+    rep = check_transport_entropy(mu, 0.25, quadratic(), sp, n_samples=100, seed=7)
+    assert rep.details["certified_ratio"] > 0.25
+    assert rep.verdict == "violated"
 
 
 @pytest.mark.parametrize("kind, n, cost, direction, certified, verdict", [
