@@ -23,6 +23,7 @@ import numpy as np
 from .cost import quadratic
 from .calculus import time_derivative, weak_infconv
 from .funcineq import (
+    RATIO_SLACK,
     hypercontractivity_check,
     mlsi_verify,
     poincare_estimate,
@@ -182,7 +183,6 @@ def hypercube_report(n=2, restarts=24, samples=300, seed=0):
     ratio = report["entropy_ratio"]
     te = check_transport_entropy(uniform_measure(space.n), n / 8.0, quadratic(),
                                  space, direction="I", n_samples=samples, seed=seed)
-    slack = 1e-9
     return {
         **report,
         "space": f"hypercube({n})",
@@ -190,9 +190,9 @@ def hypercube_report(n=2, restarts=24, samples=300, seed=0):
         "quoted_targets": {"entropy": n / 4.0, "transport": n / 8.0,
                            "fallback_level": n / 2.0},
         "targets_met": {
-            "entropy_quarter": bool(ratio <= n / 4.0 + slack),
-            "transport_eighth": bool(te.best_ratio <= n / 8.0 + slack),
-            "half_level": bool(ratio <= n / 2.0 + slack),
+            "entropy_quarter": bool(ratio <= n / 4.0 + RATIO_SLACK),
+            "transport_eighth": bool(te.best_ratio <= n / 8.0 + RATIO_SLACK),
+            "half_level": bool(ratio <= n / 2.0 + RATIO_SLACK),
         },
         "transport_sampled": te.to_json_dict(),
         "note": ("the quoted n/4 entropy and n/8 transport targets are "

@@ -12,8 +12,8 @@ means, so simplicial decomposition solves it: each round linearizes,
 solves the induced classical transport problem exactly, and
 re-optimizes over the convex hull of the vertices found so far, a
 problem in a handful of weights.  The linearization gap certifies the
-value.  An exhaustive simplex-grid oracle is available for spaces with
-at most three points.
+value.  For spaces with at most three points an independent oracle
+solves the same convex problem by one SLSQP solve over the plan.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import Bounds, LinearConstraint, minimize
 
 from .calculus import weak_infconv
 from .funcineq import _log_lp_norm_exp, _seed_function, _sweep
@@ -403,102 +403,52 @@ def weak_transport_cost(nu, mu, cost, space, gap_tol=1e-8, max_iter=10000):
 
 
 # ---------------------------------------------------------------------------
-# exhaustive oracle for tiny spaces
+# independent oracle for tiny spaces
 
 
-def transport_oracle_small(nu, mu, cost, space, grid=17, rounds=12):
+def transport_oracle_small(nu, mu, cost, space):
     """Independent evaluation of the weak cost for spaces with n <= 3.
 
-    Parametrizes every kernel row but the heaviest on a simplex grid,
-    shrinking the grid around the best feasible point, then polishes
-    with a constrained local solve of the clipped convex extension.
-    The row with the largest mass is determined by the marginal
-    constraint, which keeps the feasible region as wide as possible;
-    the product kernel p_x = nu anchors the search.
+    One SLSQP solve over the plan pi from the product coupling; the
+    objective is convex and the marginals linear, so its local minimum
+    is global.  Of the 2n marginals the last column sum is implied and
+    left out.  Raises SolverError unless SLSQP converges (status 0) or
+    stops at its line-search floor (8) with every marginal met to 1e-9.
     """
     n = space.n
     if n > 3:
         raise ValueError(f"oracle supports at most 3 points, space has {n}")
-    mu = as_measure(mu, space.n)
-    nu = as_measure(nu, space.n)
-    dist = space.dist
-    if n == 1:
-        return 0.0
-    last = int(np.argmax(mu))
-    free = [x for x in range(n) if x != last]
-    dim = (n - 1) * len(free)
+    mu, nu = as_measure(mu, n), as_measure(nu, n)
+    dist, pos = space.dist, mu > 0
 
-    def evaluate(pts, masked=True):
-        count = pts.shape[0]
-        vals = np.zeros(count)
-        feasible = np.ones(count, bool)
-        rem = np.tile(nu, (count, 1))
-        for r, x in enumerate(free):
-            coords = pts[:, r * (n - 1):(r + 1) * (n - 1)]
-            tail = 1.0 - coords.sum(axis=1)
-            feasible &= tail >= -1e-12
-            row = np.concatenate([coords, np.clip(tail, 0.0, None)[:, None]], axis=1)
-            rem = rem - mu[x] * row
-            vals += mu[x] * cost.eval(row @ dist[x])
-        if mu[last] > 0:
-            row = rem / mu[last]
-            feasible &= row.min(axis=1) >= -1e-9
-            vals += mu[last] * cost.eval(np.clip(row, 0.0, None) @ dist[last])
-        if not masked:
-            return vals
-        return np.where(feasible, vals, np.inf)
+    def objective(flat):
+        plan = flat.reshape(n, n)
+        means = (dist[pos] * plan[pos]).sum(axis=1) / mu[pos]
+        grad = np.zeros((n, n))
+        grad[pos] = cost.deriv(means)[:, None] * dist[pos]
+        return float(mu[pos] @ cost.eval(means)), grad.ravel()
 
-    anchor = np.tile(nu[:-1], len(free))
-    best = float(evaluate(anchor[None, :])[0])
-    best_pt = anchor
-    lo = np.zeros(dim)
-    hi = np.ones(dim)
-    for _ in range(rounds):
-        axes = [np.linspace(lo[k], hi[k], grid) for k in range(dim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        vals = evaluate(pts)
-        k = int(np.argmin(vals))
-        if vals[k] < best:
-            best = float(vals[k])
-            best_pt = pts[k]
-        width = (hi - lo) / (grid - 1)
-        lo = np.maximum(0.0, best_pt - width)
-        hi = np.minimum(1.0, best_pt + width)
-
-    # the clipped extension stays convex, so any KKT point is global
-    def fun(params):
-        return float(evaluate(params[None, :], masked=False)[0])
-
-    constraints = []
-    for r in range(len(free)):
-        block = slice(r * (n - 1), (r + 1) * (n - 1))
-        constraints.append(
-            {"type": "ineq", "fun": lambda p, block=block: 1.0 - p[block].sum()}
-        )
-    for j in range(n):
-        def slack(p, j=j):
-            rem = nu[j]
-            for r, x in enumerate(free):
-                coords = p[r * (n - 1):(r + 1) * (n - 1)]
-                rem -= mu[x] * (coords[j] if j < n - 1 else 1.0 - coords.sum())
-            return rem
-
-        constraints.append({"type": "ineq", "fun": slack})
-    for start in (best_pt, anchor):
-        res = minimize(
-            fun,
-            start,
-            method="SLSQP",
-            bounds=[(0.0, 1.0)] * dim,
-            constraints=constraints,
-            options={"maxiter": 500, "ftol": 1e-14},
-        )
-        if res.x is not None:
-            val = float(evaluate(np.asarray(res.x)[None, :])[0])
-            if math.isfinite(val):
-                best = min(best, val)
-    return best
+    start = np.outer(mu, nu).ravel()
+    scale = objective(start)[0] or 1.0  # 0 only when mu = nu is a Dirac
+    # row sums, then every column sum but the last
+    marg = np.vstack([np.kron(np.eye(n), np.ones(n)), np.kron(np.ones(n), np.eye(n))[:-1]])
+    target = np.concatenate([mu, nu[:-1]])
+    res = minimize(lambda flat: [v / scale for v in objective(flat)], start, jac=True,
+                   method="SLSQP", bounds=Bounds(0.0, 1.0),
+                   constraints=LinearConstraint(marg, target, target),
+                   options={"maxiter": 500, "ftol": 1e-15})
+    plan = np.asarray(res.x).reshape(n, n)
+    miss = max(np.abs(plan.sum(axis=1) - mu).max(), np.abs(plan.sum(axis=0) - nu).max())
+    if res.status not in (0, 8) or miss > 1e-9:
+        raise SolverError(f"small-space oracle: SLSQP status {res.status} ({res.message}), "
+                          f"marginal error {miss:.3e}")
+    # a plan that misses the marginals by SLSQP's 1e-12 can cost as much
+    # less than the minimum: scale its rows and columns onto mu and nu
+    for _ in range(20):
+        for axis, marginal in ((1, mu[:, None]), (0, nu)):
+            sums = plan.sum(axis=axis, keepdims=True)
+            plan *= np.divide(marginal, sums, out=np.zeros_like(sums), where=sums > 0)
+    return objective(plan.ravel())[0]
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,6 @@ def test_gradient_equals_envelope_slope_exhaustively():
     assert worst <= 1e-10
 
 
-@pytest.mark.slow
 def test_transport_fixture_and_small_space_oracle():
     sp2 = build_example("two_point")
     fixture = weak_transport_cost(
@@ -184,7 +183,6 @@ def test_transport_fixture_and_small_space_oracle():
     assert fixture.converged
 
     rng = np.random.default_rng(4)
-    worst = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 4))
         if n == 2:
@@ -200,9 +198,8 @@ def test_transport_fixture_and_small_space_oracle():
         mu = rng.dirichlet(np.ones(n) * 2.0)
         nu = rng.dirichlet(np.ones(n) * 2.0)
         fw = weak_transport_cost(nu, mu, quadratic(), sp, gap_tol=1e-10, max_iter=20000)
-        ref = transport_oracle_small(nu, mu, quadratic(), sp, grid=17, rounds=20)
-        worst = max(worst, abs(fw.value - ref))
-    assert worst <= 1e-6
+        ref = transport_oracle_small(nu, mu, quadratic(), sp)
+        assert fw.value - fw.gap - 1e-12 <= ref <= fw.value + 1e-9
 
 
 def test_entropy_transport_dual_chain_coheres():

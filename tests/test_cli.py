@@ -292,6 +292,27 @@ def test_solver_failure_is_error_object(capsys, monkeypatch):
     assert "no augmenting path" in doc["error"]["message"]
 
 
+def test_oracle_failure_is_error_object(capsys, monkeypatch):
+    import weakhj.transport as transport
+    from scipy.optimize import OptimizeResult
+    from weakhj.cost import quadratic
+    from weakhj.space import build_example
+
+    def stopped(fun, x0, **kwargs):
+        return OptimizeResult(x=np.asarray(x0), status=9, success=False,
+                              message="Iteration limit reached")
+
+    monkeypatch.setattr(transport, "minimize", stopped)
+    with pytest.raises(transport.SolverError, match="status 9"):
+        transport.transport_oracle_small([1.0, 0.0], [0.5, 0.5], quadratic(),
+                                         build_example("two_point"))
+    code, doc = invoke_json(capsys, "ttilde", "--space", "two_point",
+                            "--nu", "1,0", "--mu", "0.5,0.5", "--oracle")
+    assert code == 1
+    assert doc["error"]["type"] == "solver"
+    assert "status 9" in doc["error"]["message"]
+
+
 def test_library_value_error_is_error_object(capsys):
     code, doc = invoke_json(capsys, "qtilde", "--space", "two_point",
                             "--f", "1,0", "--t", "0")
