@@ -5,7 +5,10 @@ The weak operator at a point x reduces to a one-dimensional problem: build
 the profile u -> min { f(y) : d(x,y) = u }, take its lower convex envelope
 env, and minimize env(u) + t*alpha(u/t) over u in [0, max distance].  The
 minimizer set is a closed interval; two-point measures supported on profile
-attainers realize its endpoints.
+attainers realize its endpoints.  On each envelope segment the minimizer has
+one closed form for every cost, u = t (alpha*)'(-slope) clipped to the
+segment.  The oracle weak_infconv_bruteforce applies the same closed form to
+every chord between two points, without the envelope, and so is exact too.
 """
 
 from __future__ import annotations
@@ -126,21 +129,20 @@ class ArgminSet:
 
 def _segment_argmin(u0, v0, u1, v1, t, cost):
     """Argmin intervals [lo, hi] and values of v0 + s (u - u0) + t alpha(u/t)
-    on [u0, u1], for arrays of envelope segments of slope s."""
+    on [u0, u1], for arrays of envelope segments of slope s.
+
+    The objective is convex in u and stationary where alpha'(u/t) = -s, at
+    u = t (alpha')^-1(-s) = t (alpha*)'(-s); clipped to the segment, that is
+    the minimizer for every cost (a rising segment clips to u0).  Only
+    qlin's saturated derivative adds a case: at slope -2ah the whole ray
+    [t h, u1] is stationary."""
     s = (v1 - v0) / (u1 - u0)
-    down = np.maximum(-s, 0.0)      # 0 on rising segments: clipped to u0
+    lo = hi = np.clip(t * cost.conjugate_deriv(np.maximum(-s, 0.0)), u0, u1)
     if cost.kind == "qlin":
-        # the derivative saturates at l = 2 a h, so the stationary set can
-        # be a ray once the slope matches -l exactly
         l = cost.conjugate_domain_bound()
-        lo = np.clip(t * down / (2 * cost.a), u0, u1)
-        lo = np.where(-s > l * (1.0 + _FLAT_TOL), u1, lo)
         flat = (s < 0.0) & (np.abs(-s - l) <= _FLAT_TOL * (1.0 + l))
         lo = np.where(flat, np.clip(t * cost.h, u0, u1), lo)
         hi = np.where(flat, u1, lo)
-    else:
-        # s + alpha'(u/t) = 0 at u = t (-s)^(1/(p-1))
-        lo = hi = np.clip(t * down ** (1.0 / (cost.p - 1.0)), u0, u1)
     return lo, hi, v0 + s * (lo - u0) + t * cost.eval(lo / t)
 
 
@@ -285,33 +287,26 @@ def weak_infconv(f, t, cost, space):
     return WeakInfConv(best, u_min, u_max, u_star, f, space, (U, V), hull)
 
 
-def weak_infconv_bruteforce(f, t, cost, space, grid=33, rounds=12):
-    """Independent oracle: exhaustive search over two-point measures with a
-    uniform weight grid, adaptively refined around the best weight."""
+def weak_infconv_bruteforce(f, t, cost, space):
+    """Independent exact oracle for weak_infconv, by enumeration.
+
+    The objective depends on p only through the pair (mean distance, mean
+    value), so its minimum over the convex hull of the points (d(x,y),
+    f(y)) lies at one point (a Dirac mass: classical_infconv) or on a chord
+    between two points at distances u0 < u1.  On a chord of slope s the
+    objective v0 + s (u - u0) + t alpha(u/t) is convex in u with its
+    minimum at u = t (alpha*)'(-s) clipped to [u0, u1].  Every chord is
+    priced, one n x n pass per point x; no envelope is built."""
     t = as_positive(t, "t")
     f = as_function(f, space.n)
-    n = space.n
-    base = np.linspace(0.0, 1.0, grid)
-    out = np.empty(n)
-    for x in range(n):
+    out = classical_infconv(f, t, cost, space)
+    for x in range(space.n):
         d = space.dist[x]
-        fi, fj = np.repeat(f, n), np.tile(f, n)
-        di, dj = np.repeat(d, n), np.tile(d, n)
-        lo = np.zeros(n * n)
-        hi = np.ones(n * n)
-        best = np.inf
-        for _ in range(rounds):
-            lam = lo[:, None] + (hi - lo)[:, None] * base[None, :]
-            mean_f = lam * fi[:, None] + (1.0 - lam) * fj[:, None]
-            mean_d = lam * di[:, None] + (1.0 - lam) * dj[:, None]
-            vals = mean_f + t * cost.eval(mean_d / t)
-            best = min(best, float(vals.min()))
-            k = np.argmin(vals, axis=1)
-            lamstar = np.take_along_axis(lam, k[:, None], 1)[:, 0]
-            w = (hi - lo) / (grid - 1)
-            lo = np.maximum(0.0, lamstar - w)
-            hi = np.minimum(1.0, lamstar + w)
-        out[x] = best
+        i, j = np.nonzero(d[:, None] < d[None, :])
+        u0, v0, u1 = d[i], f[i], d[j]
+        s = (f[j] - v0) / (u1 - u0)
+        u = np.clip(t * cost.conjugate_deriv(np.maximum(-s, 0.0)), u0, u1)
+        out[x] = np.min(v0 + s * (u - u0) + t * cost.eval(u / t), initial=out[x])
     return out
 
 

@@ -86,14 +86,15 @@ class CostFunction:
         return out if out.ndim else float(out)
 
     def conjugate_deriv(self, y):
-        """Derivative of the conjugate; +inf past the qlin slope bound."""
+        """Derivative of the conjugate, which is the inverse (alpha')^-1 of
+        the derivative: the least x >= 0 with alpha'(x) = y.  +inf past the
+        qlin slope bound, where no x has that slope."""
         y = np.asarray(y, dtype=float)
         if self.kind == "qlin":
             a, h = self.a, self.h
             out = np.where(y <= 2 * a * h, y / (2 * a), math.inf)
         else:
-            q = self.p / (self.p - 1.0)
-            out = y ** (q - 1.0)
+            out = y ** (1.0 / (self.p - 1.0))
         return out if out.ndim else float(out)
 
     def conjugate_domain_bound(self):

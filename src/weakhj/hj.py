@@ -20,7 +20,7 @@ import numpy as np
 
 from .calculus import tilde_gradient, time_derivative, weak_infconv
 from .cost import quadratic
-from .space import as_function, as_positive, jsonable
+from .space import as_count, as_function, as_positive, jsonable
 
 RESIDUAL_TOL = 1e-9
 BOUNDARY_TOL = 1e-6
@@ -209,7 +209,9 @@ def obstruction_search(space, d_family=None, t_grid=None, trials=50, seed=0):
     Tries the adversarial functions f = 0 at one vertex and M elsewhere
     (the construction behind the impossibility of such semigroups on
     connected spaces) over all (s, t) in the grid square, then `trials`
-    random functions.  Every candidate is screened at tolerance 1e-6.
+    random functions, each drawn only when the search reaches it.  Every
+    candidate is screened at tolerance 1e-6.  `trials` must be an integer
+    >= 0 (ValueError otherwise).
 
     `d_family(t)` returns the n x n matrix D_t, one call per time; the
     default is t * alpha(d / t) for the quadratic alpha.  The family must
@@ -221,6 +223,7 @@ def obstruction_search(space, d_family=None, t_grid=None, trials=50, seed=0):
         def d_family(t):
             return t * quadratic().eval(space.dist / t)
 
+    trials = as_count(trials, "trials", least=0)
     if t_grid is None:
         t_grid = _DEFAULT_OBSTRUCTION_TS
     ts = [as_positive(t, "t_grid entry") for t in t_grid]
@@ -253,13 +256,14 @@ def obstruction_search(space, d_family=None, t_grid=None, trials=50, seed=0):
             for t in set(ts) | {s + t for s, t in pairs}}
     scale = max(float(np.max(m)) for m in mats.values()) if n > 1 else 1.0
 
-    functions = [np.where(np.arange(n) == z, 0.0, 1.0 + 2.0 * scale)
-                 for z in range(n)]
-    for _ in range(trials):
-        functions.append(rng.normal(0.0, 1.0, n) * max(space.diameter, 1.0))
+    def functions():
+        for z in range(n):
+            yield np.where(np.arange(n) == z, 0.0, 1.0 + 2.0 * scale)
+        for _ in range(trials):
+            yield rng.normal(0.0, 1.0, n) * max(space.diameter, 1.0)
 
     evaluations = 0
-    for tried, f in enumerate(functions, start=1):
+    for tried, f in enumerate(functions(), start=1):
         for s, t in pairs:
             lhs = _classical_step(f, mats[s + t])
             rhs = _classical_step(_classical_step(f, mats[s]), mats[t])
@@ -276,5 +280,5 @@ def obstruction_search(space, d_family=None, t_grid=None, trials=50, seed=0):
                     detail={"t_grid": ts})
     return ObstructionResult(
         status="exhausted", witness=None,
-        functions_tried=len(functions), evaluations=evaluations, seed=seed,
+        functions_tried=n + trials, evaluations=evaluations, seed=seed,
         detail={"t_grid": ts, "max_gap_seen": "below tolerance"})

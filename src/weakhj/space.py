@@ -90,15 +90,25 @@ def check_metric(dist):
 
 @dataclass
 class MetricSpace:
-    """Validated finite metric space. `dist` is read-only after construction."""
+    """Validated finite metric space. `dist` is read-only after construction.
+
+    `labels` is None, for "0" .. "n-1", or a list or tuple of exactly n
+    strings; anything else raises ValueError."""
 
     dist: np.ndarray
-    labels: tuple = ()
+    labels: tuple | None = None
 
     def __post_init__(self):
         self.dist = np.asarray(self.dist, dtype=float)
-        if not self.labels:
-            self.labels = tuple(str(i) for i in range(self.dist.shape[0]))
+        n = self.dist.shape[0]
+        if self.labels is None:
+            self.labels = tuple(str(i) for i in range(n))
+        elif not (isinstance(self.labels, (list, tuple))
+                  and all(isinstance(label, str) for label in self.labels)):
+            raise ValueError(f"labels must be a list of strings, got {self.labels!r}")
+        elif len(self.labels) != n:
+            raise ValueError(f"{len(self.labels)} labels for {n} points")
+        self.labels = tuple(self.labels)
         self.dist.flags.writeable = False
 
     @property
@@ -137,7 +147,7 @@ def validate_metric(dist, labels=None):
     violation = check_metric(dist)
     if violation is not None:
         raise MetricViolation(f"not a metric: {violation}", violation)
-    return MetricSpace(np.array(dist, dtype=float), tuple(labels or ()))
+    return MetricSpace(np.array(dist, dtype=float), labels)
 
 
 def build_from_graph(n, edges, labels=None):
@@ -281,10 +291,10 @@ def as_positive(x, name):
     return x
 
 
-def as_count(x, name):
-    """`x` as an int; ValueError unless it is an integer >= 1."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {x!r}")
+def as_count(x, name, least=1):
+    """`x` as an int; ValueError unless it is an integer >= `least`."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {x!r}")
     return int(x)
 
 

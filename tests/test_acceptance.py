@@ -104,8 +104,8 @@ def test_weak_infconv_matches_bruteforce_oracle():
         for cost in ALL_COSTS:
             vals = weak_infconv(f, t, cost, sp).values
             ref = weak_infconv_bruteforce(f, t, cost, sp)
-            worst = max(worst, float(np.max(np.abs(vals - ref))))
-    assert worst <= 1e-8
+            worst = max(worst, float(np.max(np.abs(vals - ref) / (1.0 + np.abs(vals)))))
+    assert worst <= 1e-12
     assert time.perf_counter() - start < 30.0
 
 

@@ -1,7 +1,8 @@
 """Tests for the nonlinear gradient, envelopes and the weak inf-convolution.
 
-The adaptive two-point-measure grid search (weak_infconv_bruteforce) is the
-independent oracle here; the envelope solver must reproduce it everywhere.
+The exact two-point enumeration (weak_infconv_bruteforce), which prices every
+chord between two points and builds no envelope, is the independent oracle
+here; the envelope solver must reproduce it everywhere to rounding.
 """
 
 import numpy as np
@@ -232,6 +233,13 @@ def test_bruteforce_two_point_value():
     assert v[0] == pytest.approx(0.75, abs=1e-9)
 
 
+def _assert_matches_oracle(f, t, cost, sp):
+    fast = weak_infconv(f, t, cost, sp).values
+    slow = weak_infconv_bruteforce(f, t, cost, sp)
+    assert np.all(np.abs(fast - slow) <= 1e-12 * (1.0 + np.abs(fast))), (
+        cost.label(), np.max(np.abs(fast - slow)))
+
+
 def test_envelope_matches_bruteforce_100_instances():
     """Oracle equivalence on 100 random (space, f, t, cost) instances."""
     rng = np.random.default_rng(42)
@@ -239,19 +247,65 @@ def test_envelope_matches_bruteforce_100_instances():
         sp = random_connected_space(rng)
         f = rng.normal(size=sp.n) * float(rng.uniform(0.5, 3.0))
         t = float(rng.uniform(0.05, 3.0))
-        cost = COSTS[i % len(COSTS)]
-        fast = weak_infconv(f, t, cost, sp).values
-        slow = weak_infconv_bruteforce(f, t, cost, sp)
-        np.testing.assert_allclose(fast, slow, atol=1e-8, rtol=1e-8)
+        _assert_matches_oracle(f, t, COSTS[i % len(COSTS)], sp)
 
 
-def test_bruteforce_dirac_sweep_matches_classical():
+def test_bruteforce_edge_cases():
+    """power(4), integer f with tied values and distances, and the
+    one-point space."""
+    rng = np.random.default_rng(71)
+    spaces = [MetricSpace(np.zeros((1, 1))), build_example("two_point"),
+              build_example("hypercube", 3), build_example("cycle", 6),
+              build_example("symmetric_group", 3)]
+    for sp in spaces:
+        g = 2.0 * rng.standard_normal(sp.n)
+        for f in (g, np.round(g)):
+            for cost in EQUIVALENCE_COSTS:
+                _assert_matches_oracle(f, float(rng.uniform(0.1, 2.0)), cost, sp)
+    assert weak_infconv_bruteforce([-0.5], 0.3, power(4.0), spaces[0]).tolist() == [-0.5]
+
+
+def test_bruteforce_qlin_flat_ray():
+    """Slope -2ah on path:3: every u in [t h, 2] is optimal, value 1.75."""
+    sp = build_example("path", 3)
+    f = np.array([2.0, 1.0, 0.0])
+    cost = quadratic_linear(0.5, 1.0)
+    r = weak_infconv(f, 0.5, cost, sp)
+    assert (r.u_min[0], r.u_max[0]) == (0.5, 2.0)
+    oracle = weak_infconv_bruteforce(f, 0.5, cost, sp)
+    assert oracle[0] == pytest.approx(1.75, abs=1e-15)
+    np.testing.assert_allclose(oracle, r.values, rtol=0, atol=1e-15)
+
+
+def test_bruteforce_builds_no_envelope(monkeypatch):
+    """The oracle stays independent of the hull code it checks."""
+    import weakhj.calculus as calc
+
+    def banned(*args, **kwargs):
+        raise AssertionError("oracle called the envelope code")
+
+    for name in ("_segment_argmin", "_hull_vertices", "envelope", "distance_profile",
+                 "convex_envelope"):
+        monkeypatch.setattr(calc, name, banned)
+    monkeypatch.setattr(MetricSpace, "distance_groups", property(banned))
+    sp = build_example("cycle", 5)
+    v = weak_infconv_bruteforce(np.arange(5.0), 0.7, quadratic_linear(0.5, 1.0), sp)
+    assert v.shape == (5,)
+
+
+def test_bruteforce_below_classical():
+    """Dirac masses are two-point measures, so the oracle never exceeds the
+    classical operator, and on two_point it moves mass strictly below it."""
     rng = np.random.default_rng(9)
-    sp = build_example("path", 5)
-    f = rng.normal(size=5)
-    # grid restricted to the two endpoint weights = classical operator
-    v = weak_infconv_bruteforce(f, 0.9, quadratic(), sp, grid=2, rounds=1)
-    np.testing.assert_allclose(v, classical_infconv(f, 0.9, quadratic(), sp), atol=1e-12)
+    for sp in example_spaces():
+        f = rng.normal(size=sp.n)
+        for cost in COSTS:
+            assert np.all(weak_infconv_bruteforce(f, 0.9, cost, sp)
+                          <= classical_infconv(f, 0.9, cost, sp))
+    sp = build_example("two_point")
+    f = np.array([1.0, 0.0])
+    weak = weak_infconv_bruteforce(f, 0.5, quadratic(), sp)
+    assert weak[0] < classical_infconv(f, 0.5, quadratic(), sp)[0]
 
 
 # -- structural invariants ---------------------------------------------------

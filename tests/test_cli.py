@@ -48,6 +48,21 @@ def test_space_validate_triangle_violation(tmp_path, capsys):
     assert err["detail"]["witness"] == [0, 1, 2]
 
 
+@pytest.mark.parametrize("space", [
+    {"dist": [[0, 1], [1, 0]], "labels": ["a"]},
+    {"n": 3, "edges": [[0, 1], [1, 2]], "labels": [1, [2], None, "x"]},
+    {"dist": [[0, 1], [1, 0]], "labels": "ab"},
+], ids=["too-few", "mixed-types", "string"])
+def test_space_validate_rejects_bad_labels(space, tmp_path, capsys):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(space))
+    code, doc = invoke_json(capsys, "space", "--validate", str(path))
+    assert code == 1
+    assert doc["error"]["type"] == "input"
+    assert str(path) in doc["error"]["message"]
+    assert "labels" in doc["error"]["message"]
+
+
 def test_space_requires_an_input(capsys):
     code, doc = invoke_json(capsys, "space")
     assert code == 1 and doc["error"]["type"] == "input"
@@ -106,6 +121,14 @@ def test_obstruction_witness_exit_two(capsys):
     assert res["status"] == "witness"
     assert set(res["witness"]) == {"f", "x", "s", "t", "lhs", "rhs", "gap"}
     assert res["witness"]["gap"] > 1e-6
+
+
+def test_obstruction_negative_trials_is_error_object(capsys):
+    code, doc = invoke_json(capsys, "obstruction", "--space", "path:3",
+                            "--trials", "-5")
+    assert code == 1
+    assert doc["error"]["type"] == "value"
+    assert "trials must be an integer >= 0" in doc["error"]["message"]
 
 
 def test_ttilde_forced_coupling_fixture(capsys):

@@ -136,10 +136,31 @@ def test_second_derivative_matches_central_differences():
     assert (qlin.deriv2(1.0), qlin.deriv2(1.0 + 1e-12)) == (2.0, 0.0)
 
 
+def test_conjugate_deriv_inverts_deriv():
+    """conjugate_deriv is (alpha')^-1 on [0, 2ah], +inf strictly past qlin's
+    bound, and the derivative of conjugate.  The segment minimizer and the
+    brute-force oracle both rest on it."""
+    for c in ALL_COSTS + [power(4.0), power(2.7)]:
+        l = c.conjugate_domain_bound()
+        ys = np.concatenate([np.linspace(0.0, min(l, 8.0), 201), np.logspace(-6, 0, 25)
+                             * min(l, 8.0)])
+        np.testing.assert_allclose(c.deriv(c.conjugate_deriv(ys)), ys, rtol=1e-12, atol=0,
+                                   err_msg=c.label())
+        if l < math.inf:
+            past = l * (1.0 + np.array([1e-15, 1e-9, 0.5]))
+            assert np.all(past > l)
+            assert np.all(c.conjugate_deriv(past) == math.inf)
+        inner = np.linspace(0.05, 0.95, 19) * min(l, 8.0)
+        step = 1e-6 * min(l, 8.0)
+        fd = (c.conjugate(inner + step) - c.conjugate(inner - step)) / (2.0 * step)
+        np.testing.assert_allclose(c.conjugate_deriv(inner), fd, rtol=1e-8, atol=0,
+                                   err_msg=c.label())
+
+
 def test_vectorized_matches_scalar():
     xs = np.linspace(0.0, 5.0, 11)
     for c in ALL_COSTS:
-        for name in ("eval", "deriv", "deriv2", "conjugate", "beta"):
+        for name in ("eval", "deriv", "deriv2", "conjugate", "conjugate_deriv", "beta"):
             fn = getattr(c, name)
             vec = fn(xs)
             scal = np.array([fn(float(x)) for x in xs])

@@ -53,6 +53,9 @@ class ShrunkDomain:
         out = np.where(y <= 0.1, 0.5 * y * y, math.inf)
         return out if out.ndim else float(out)
 
+    def conjugate_deriv(self, y):
+        return self._q.conjugate_deriv(y)
+
     def conjugate_domain_bound(self):
         return 0.1
 
@@ -285,6 +288,34 @@ def test_obstruction_single_point_exhausted():
     assert res.witness is None
     assert res.functions_tried == 11
     assert res.evaluations == 11 * 9  # full grid square per function
+
+
+def test_obstruction_rejects_bad_trials():
+    for bad in (-5, -1, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match="trials must be an integer >= 0"):
+            obstruction_search(TWO_POINT, trials=bad)
+
+
+def test_obstruction_draws_random_functions_lazily(monkeypatch):
+    """A random function is drawn only when the search reaches it, in the
+    same order, so a witness among the adversarial functions draws none."""
+    draws = []
+    default_rng = np.random.default_rng
+
+    class CountingRng:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def normal(self, *args):
+            draws.append(args)
+            return self._rng.normal(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    res = obstruction_search(build_example("path", 3), trials=50, seed=0)
+    assert res.functions_tried == 1 and draws == []
+    res = obstruction_search(MetricSpace(np.zeros((1, 1))), trials=7, seed=3)
+    assert res.status == "exhausted" and res.functions_tried == 8
+    assert draws == [(0.0, 1.0, 1)] * 7
 
 
 def test_obstruction_reproducible():

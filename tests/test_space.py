@@ -211,6 +211,16 @@ def test_load_space_roundtrip(tmp_path):
     assert sp4.labels == ("a", "b")
 
 
+def test_labels_are_exactly_n_strings():
+    assert build_example("two_point").labels == ("0", "1")
+    assert build_from_graph(2, [(0, 1)], labels=("u", "v")).labels == ("u", "v")
+    for bad, message in ((["a"], "1 labels for 2 points"), (["a", "b", "c"], "3 labels"),
+                         ("ab", "list of strings"), ([1, 2], "list of strings"),
+                         (["a", None], "list of strings"), ((), "0 labels")):
+        with pytest.raises(ValueError, match=message):
+            validate_metric([[0, 1], [1, 0]], labels=bad)
+
+
 def test_measures_and_functions():
     m = as_measure([0.25, 0.75], 2)
     np.testing.assert_allclose(m, [0.25, 0.75])
