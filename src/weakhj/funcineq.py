@@ -89,12 +89,14 @@ def _entropy_scaled(f, mu):
 def entropy_exp(f, mu):
     """Ent_mu(e^f) = int f e^f dmu - (int e^f dmu) log int e^f dmu.
 
-    The max of f is subtracted before exponentiating, so the value is
-    finite whenever e^{max f} is; small ranges are evaluated by a
-    compensated expansion to avoid cancellation.
+    Only supp(mu) enters, and the max of f over it is subtracted before
+    exponentiating, so the value is finite whenever e^{max f} is; small
+    ranges are evaluated by a compensated expansion to avoid
+    cancellation.
     """
-    f = np.asarray(f, dtype=float)
     mu = np.asarray(mu, dtype=float)
+    supp = mu > 0
+    f, mu = np.asarray(f, dtype=float)[supp], mu[supp]
     if np.ptp(f) == 0:
         return 0.0
     ref, value = _entropy_scaled(f, mu)
@@ -116,13 +118,16 @@ def lp_norm(g, mu, q):
 
 
 def _log_lp_norm_exp(f, mu, q):
-    # log ||e^f||_q without forming e^f; q = 0 is the log-mean
+    # log ||e^f||_q without forming e^f; q = 0 is the log-mean.  The max
+    # is taken over supp(mu): at a mu-null point it could make every
+    # charged term underflow to 0
     f = np.asarray(f, dtype=float)
     if q == 0:
         return float(mu @ f)
-    qf = q * f
+    supp = mu > 0
+    qf = q * f[supp]
     m = float(np.max(qf))
-    return (m + math.log(float(mu @ np.exp(qf - m)))) / q
+    return (m + math.log(float(mu[supp] @ np.exp(qf - m)))) / q
 
 
 # ---------------------------------------------------------------------------

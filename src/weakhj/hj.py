@@ -3,8 +3,8 @@
 Three pieces.  `hj_residual` evaluates, per point, the subsolution
 residual d/dt Q~_t f + alpha*(|grad Q~_t f|) from the exact derivative
 formula and certifies that it is non-positive.  `hj_boundary`
-extrapolates the small-time limit of (Q~_t f - f)/t along a dyadic
-t-sequence and matches it against -alpha*(|grad f|).  `obstruction_search`
+extrapolates the small-time limit of (Q~_t f - f)/t from t = 2^-19 and
+2^-20 and matches it against -alpha*(|grad f|).  `obstruction_search`
 looks for a quadruple (f, x, s, t) breaking the semigroup law of the
 classical point-mass evolution Q_t f(x) = min_y f(y) + D_t(x, y),
 starting from the adversarial functions that certify no such family of
@@ -26,8 +26,6 @@ RESIDUAL_TOL = 1e-9
 BOUNDARY_TOL = 1e-6
 OBSTRUCTION_TOL = 1e-6
 
-# dyadic default 2^-k, k = 3..20
-_DEFAULT_BOUNDARY_TS = tuple(2.0 ** -k for k in range(3, 21))
 _DEFAULT_OBSTRUCTION_TS = (0.25, 0.5, 1.0)
 
 # the fields an HJReport of each kind serialises, in JSON key order
@@ -105,32 +103,21 @@ def hj_residual(f, t, cost, space):
     )
 
 
-def hj_boundary(f, cost, space, t_sequence=None):
+def hj_boundary(f, cost, space):
     """Small-time identity lim (Q~_t f(x) - f(x))/t = -alpha*(|grad f|(x)).
 
-    The limit is Richardson-extrapolated (2 r_{k+1} - r_k) when the
-    sequence is dyadic, else taken as the last ratio.  Points with
+    The limit is Richardson-extrapolated from the ratios r(t) = (Q~_t f -
+    f)/t at t = 2^-19 and 2^-20 as 2 r(2^-20) - r(2^-19).  Points with
     |grad f|(x) >= l, where l bounds the conjugate domain, are excluded
     from the verdict and listed.
     """
     f = as_function(f, space.n)
-    if t_sequence is None:
-        t_sequence = _DEFAULT_BOUNDARY_TS
-    ts = [as_positive(t, "t_sequence entry") for t in t_sequence]
-    if not ts:
-        raise ValueError("t_sequence must contain positive times")
-    if any(b >= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("t_sequence must be strictly decreasing")
-
     g = tilde_gradient(f, space)
     bound = cost.conjugate_domain_bound()
     excluded = tuple(int(i) for i in np.flatnonzero(g >= bound))
-    dyadic = len(ts) >= 2 and all(
-        abs(b - 0.5 * a) <= 1e-12 * a for a, b in zip(ts, ts[1:]))
-    # the extrapolation reads only the last one or two ratios
-    ratios = [(weak_infconv(f, t, cost, space).values - f) / t
-              for t in ts[-2 if dyadic else -1:]]
-    limits = 2.0 * ratios[1] - ratios[0] if dyadic else ratios[0]
+    coarse, fine = [(weak_infconv(f, t, cost, space).values - f) / t
+                    for t in (2.0 ** -19, 2.0 ** -20)]
+    limits = 2.0 * fine - coarse
 
     targets = -np.atleast_1d(np.asarray(cost.conjugate(g), dtype=float))
     errors = np.abs(limits - targets)

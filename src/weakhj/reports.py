@@ -27,6 +27,7 @@ from .funcineq import (
     hypercontractivity_check,
     mlsi_verify,
     poincare_estimate,
+    verdict,
 )
 from .hj import hj_boundary, hj_residual
 from .space import as_measure, build_example, uniform_measure
@@ -93,8 +94,10 @@ def two_point_report(restarts=64, seed=0):
 def chain_report(space, mu=None, C=None, restarts=24, samples=300, seed=0):
     """Entropy constant and its transport/dual/norm-growth consequences.
 
-    With C_m the certified (or supplied) constant of Ent(e^f) <= C_m
-    int alpha*(|grad f|) e^f dmu for the quadratic cost, the chain runs
+    With C_m the supplied constant of Ent(e^f) <= C_m int alpha*(|grad
+    f|) e^f dmu for the quadratic cost, or without C the largest ratio
+    the entropy search finds (the `mlsi` leg is then tested at it,
+    `mlsi.constant` = `entropy_constant`), the chain runs
     at C = 2 C_m: sampled transport-entropy checks in both directions
     at C_m, the exponential dual bound at C, and hypercontractive norm
     growth with exponent rho + 2t/C on a small (rho, t) grid.
@@ -107,6 +110,8 @@ def chain_report(space, mu=None, C=None, restarts=24, samples=300, seed=0):
     est = mlsi_verify(mu, 1.0 if estimated else C, cost, "I", space,
                       restarts=restarts, seed=seed)
     c_m = max(est.best_ratio, 1e-12) if estimated else float(C)
+    # an estimated C_m is the largest ratio found: the leg is tested at it
+    est.constant, est.verdict = c_m, verdict(est.best_ratio, c_m)
     chain_c = 2.0 * c_m
 
     te = {d: check_transport_entropy(mu, c_m, cost, space, direction=d,

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, minimize
+from scipy.optimize import Bounds, LinearConstraint, brentq, minimize
 
 from .calculus import weak_infconv
 from .funcineq import _log_lp_norm_exp, _seed_function, _sweep
@@ -232,50 +232,26 @@ def _mean_objective(pi, mu, dist, cost):
 
 
 def _line_search(mu, pos, means, dm, cost, gmax):
-    """Exact minimizer of g -> sum mu alpha(means + g dm) on [0, gmax].
-
-    The quadratic cost has a closed form.  Otherwise the minimizer is the
-    root of the non-decreasing slope s(g) = sum mu dm alpha'(means + g dm),
-    found by Newton steps with the curvature s'(g) from alpha''.  Each
-    evaluation of s narrows the bracket [lo, hi] around the root, and a
-    step that would leave the bracket, or a curvature that is 0 or
-    infinite (qlin past h on every moving row, p < 2 at a row mean of 0),
-    falls back to bisection.  A slope that is nan counts as positive: a
-    row mean that reaches 0 at gmax can land a rounding error below it,
-    where a fractional power is nan.  Stops when a Newton step or the
-    bracket is down to the last bits of g."""
+    """Exact minimizer of g -> sum mu alpha(means + g dm) on [0, gmax]:
+    the root of the non-decreasing slope s(g) = sum mu dm alpha'(means +
+    g dm), bracketed by its signs at the two ends and found by Brent's
+    method (`scipy.optimize.brentq`) to the last bits of g.  A slope that
+    is nan counts as positive: a row mean that reaches 0 at gmax can land
+    a rounding error below it, where a fractional power is nan."""
     if gmax <= 0:
         return 0.0
-    if cost.kind != "qlin" and cost.p == 2.0:
-        den = float(np.sum(mu[pos] * dm[pos] ** 2))
-        num = -float(np.sum(mu[pos] * means[pos] * dm[pos]))
-        return gmax if den <= 0 else min(gmax, max(0.0, num / den))
-    # rows that do not move add nothing, and would add 0 * inf to s'
-    moving = pos & (dm != 0)
+    moving = pos & (dm != 0)  # rows that do not move add nothing
     w, m, d = mu[moving] * dm[moving], means[moving], dm[moving]
-    if float(w @ cost.deriv(m + gmax * d)) <= 0:
+
+    def slope(g):
+        s = float(w @ cost.deriv(m + g * d))
+        return 1.0 if math.isnan(s) else s
+
+    if slope(gmax) <= 0:
         return gmax
-    wd = w * d
-    lo, hi, g = 0.0, gmax, 0.0
-    for _ in range(100):
-        at = m + g * d
-        s = float(w @ cost.deriv(at))
-        if s < 0:
-            lo = g
-        elif s == 0:
-            return g
-        else:
-            hi = g
-        curv = float(wd @ cost.deriv2(at))
-        step = s / curv if 0 < curv < math.inf else math.inf
-        if abs(step) <= 2 * EPS * g:
-            return g
-        g -= step
-        if not lo < g < hi:
-            g = 0.5 * (lo + hi)
-            if hi - lo <= 4 * EPS * hi:
-                return g
-    return g
+    if slope(0.0) >= 0:
+        return 0.0
+    return brentq(slope, 0.0, gmax, xtol=2 * EPS * gmax, rtol=4 * EPS)
 
 
 def _master(atoms, lam, mu, pos, dist, cost, tol):
@@ -286,9 +262,9 @@ def _master(atoms, lam, mu, pos, dist, cost, tol):
     The heaviest atom is eliminated through sum lam = 1, so each step
     solves a (k-1) x (k-1) system whose Hessian D diag(mu alpha'') D^T is
     built from D, the row-mean differences to that atom; a small ridge
-    sends a flat direction (alpha'' = 0) to the boundary.  The full step
-    is taken when it is feasible and decreases F, else an exact line
-    search up to the boundary.  Atoms whose weight reaches 0 are
+    sends a flat direction (alpha'' = 0) to the boundary.  The step
+    length along the Newton direction is an exact line search up to the
+    boundary (`_line_search`).  Atoms whose weight reaches 0 are
     dropped.  Stops when the restricted gap lam.g - min g is below tol,
     when a step moves lam only in its last bits, or after 50 steps.  Progress is
     judged on slopes, not on F, whose last bits stop moving long before
@@ -315,20 +291,11 @@ def _master(atoms, lam, mu, pos, dist, cost, tol):
             break
         ratios = lam[shrink] / -d[shrink]
         gmax = float(ratios.min())
-        dm = y @ diff
-        step = None
         # a row mean that reaches 0 at the boundary can land a rounding
-        # error below it, where a fractional power is nan: the full step is
-        # then refused, and the search stops a hair short of the boundary
+        # error below it, where a fractional power is nan: the search then
+        # stops a hair short of the boundary
         with np.errstate(invalid="ignore"):
-            if gmax >= 1.0:
-                end = means + dm
-                end_slope = float(mu @ (dm * cost.deriv(end)))
-                rise = float(mu @ cost.eval(end)) - float(mu @ cost.eval(means))
-                if end_slope <= 0 or rise <= 1e-4 * float(slopes @ y):
-                    step = 1.0
-            if step is None:
-                step = _line_search(mu, pos, means, dm, cost, gmax)
+            step = _line_search(mu, pos, means, y @ diff, cost, gmax)
         new = lam + step * d
         if step == gmax:
             new[np.flatnonzero(shrink)[ratios == gmax]] = 0.0

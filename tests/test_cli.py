@@ -144,6 +144,30 @@ def test_ttilde_forced_coupling_fixture(capsys):
                                atol=1e-10)
 
 
+def test_qtilde_oracle_off_by_1e_10_exits_two(capsys, monkeypatch):
+    import weakhj.cli as cli
+    from weakhj.calculus import weak_infconv_bruteforce
+
+    monkeypatch.setattr(cli, "weak_infconv_bruteforce",
+                        lambda *args: weak_infconv_bruteforce(*args) + 1e-10)
+    code, doc = invoke_json(capsys, "qtilde", "--space", "path:5",
+                            "--f", "1,0,2,0.5,1", "--t", "0.5", "--oracle")
+    assert code == 2
+    assert doc["result"]["oracle_max_error"] <= 2e-10
+
+
+def test_ttilde_oracle_off_by_1e_8_exits_two(capsys, monkeypatch):
+    import weakhj.cli as cli
+    from weakhj.transport import transport_oracle_small
+
+    monkeypatch.setattr(cli, "transport_oracle_small",
+                        lambda *args: transport_oracle_small(*args) + 1e-8)
+    code, doc = invoke_json(capsys, "ttilde", "--space", "two_point",
+                            "--nu", "1,0", "--mu", "0.5,0.5", "--oracle")
+    assert code == 2
+    assert doc["result"]["oracle_error"] <= 2e-8
+
+
 def test_te_verify_undersized_constant_violates(capsys):
     code, doc = invoke_json(capsys, "te-verify", "--space", "two_point",
                             "--C", "0.25", "--direction", "I",
@@ -198,6 +222,28 @@ def test_chain_verify_coherent_then_starved(capsys):
                             "--C", "0.005", "--samples", "100",
                             "--restarts", "6")
     assert code == 2 and doc["result"]["coherent"] is False
+
+
+def test_chain_verify_tests_the_entropy_leg_at_its_estimate(capsys):
+    # C_m > 1 on hypercube:3: the estimated constant, not 1, is the bound
+    code, doc = invoke_json(capsys, "chain-verify", "--space", "hypercube:3",
+                            "--samples", "5", "--restarts", "2")
+    res = doc["result"]
+    assert code == 0 and res["coherent"] is True
+    assert res["entropy_constant"] > 1.0
+    assert res["mlsi"]["constant"] == res["entropy_constant"]
+    assert res["mlsi"]["verdict"] == "certified-no-violation"
+
+
+def test_chain_verify_with_mu_null_points(capsys):
+    code, doc = invoke_json(capsys, "chain-verify", "--space", "path:3",
+                            "--mu", "1,0,0", "--samples", "5", "--restarts", "2")
+    assert code == 0
+    res = doc["result"]
+    # every sampled nu charges a mu-null point: transport has no sample
+    assert res["coherent"] is False
+    assert res["transport"]["I"]["verdict"] == "inconclusive"
+    assert all(leg["violations"] == 0 for leg in res["hypercontractivity"])
 
 
 def test_examples_two_point_report(capsys):
@@ -347,7 +393,8 @@ def test_library_value_error_is_error_object(capsys):
 
 def test_thin_adapter_imports_no_numerics():
     import weakhj.cli as cli
-    lines = [l for l in open(cli.__file__) if l.startswith(("import ", "from "))]
+    lines = [l for l in Path(cli.__file__).read_text().splitlines(keepends=True)
+             if l.startswith(("import ", "from "))]
     joined = "".join(lines)
     assert "numpy" not in joined and "scipy" not in joined
 

@@ -81,6 +81,18 @@ def test_entropy_nonnegative_zero_at_constants():
         assert entropy_exp(np.full(n, rng.normal()), mu) == 0.0
 
 
+def test_log_norms_and_entropy_skip_mu_null_points():
+    # the max of f sits where mu = 0: taken over every point, it would
+    # make every charged term underflow to 0
+    sp = build_example("path", 3)
+    mu, f = [1.0, 0.0, 0.0], [0.0, 0.0, 900.0]
+    assert entropy_exp([0.0, 800.0], [1.0, 0.0]) == 0.0
+    out = dual_check(mu, 0.5, f, quadratic(), sp)
+    assert out["holds"] and out["log_lhs"] == 0.0 and out["log_rhs"] == 0.0
+    out = hypercontractivity_check(mu, 0.5, f, 0.5, 1.0, sp)
+    assert out["holds"] and out["log_lhs"] == 0.0 and out["log_rhs"] == 0.0
+
+
 def test_lp_norm_fixtures():
     mu = uniform_measure(2)
     g = np.array([math.e, 1.0])

@@ -172,26 +172,7 @@ def test_boundary_excludes_steep_points():
     assert js["targets"][0] is None  # -inf target serializes as null
 
 
-def test_boundary_non_dyadic_sequence_falls_back():
-    rep = hj_boundary([1.0, 0.0], quadratic(), TWO_POINT,
-                      t_sequence=(0.3, 0.1, 0.03, 0.01))
-    # the two-point ratio is exactly -1/2 for every small t
-    np.testing.assert_allclose(rep.limits, [-0.5, 0.0], rtol=0, atol=1e-12)
-    assert rep.holds
-
-
-def test_boundary_sequence_validation():
-    with pytest.raises(ValueError, match="positive"):
-        hj_boundary([1.0, 0.0], quadratic(), TWO_POINT, t_sequence=())
-    with pytest.raises(ValueError, match="positive"):
-        hj_boundary([1.0, 0.0], quadratic(), TWO_POINT, t_sequence=(0.5, 0.0))
-    with pytest.raises(ValueError, match="decreasing"):
-        hj_boundary([1.0, 0.0], quadratic(), TWO_POINT, t_sequence=(0.25, 0.5))
-
-
-@pytest.mark.parametrize("ts, used", [
-    (None, 2), ((0.3, 0.1, 0.03, 0.01), 1), ((0.5, 0.25, 0.125), 2)])
-def test_boundary_evaluates_only_the_ratios_it_reads(monkeypatch, ts, used):
+def test_boundary_evaluates_only_the_ratios_it_reads(monkeypatch):
     import weakhj.hj as hj
 
     f = np.array([0.7, -0.3, 0.2, 1.1, 0.4])
@@ -203,12 +184,10 @@ def test_boundary_evaluates_only_the_ratios_it_reads(monkeypatch, ts, used):
         return weak_infconv(*args)
 
     monkeypatch.setattr(hj, "weak_infconv", counted)
-    rep = hj_boundary(f, cost, space, t_sequence=ts)
-    seq = hj._DEFAULT_BOUNDARY_TS if ts is None else ts
-    assert calls == list(seq[-used:])
-    r = [(weak_infconv(f, t, cost, space).values - f) / t for t in seq[-used:]]
-    expected = 2.0 * r[1] - r[0] if used == 2 else r[0]
-    np.testing.assert_array_equal(rep.limits, expected)
+    rep = hj_boundary(f, cost, space)
+    assert calls == [2.0 ** -19, 2.0 ** -20]
+    r = [(weak_infconv(f, t, cost, space).values - f) / t for t in calls]
+    np.testing.assert_array_equal(rep.limits, 2.0 * r[1] - r[0])
 
 
 # ---------------------------------------------------------------------------

@@ -120,10 +120,10 @@ def _bisection_line_search(mu, pos, means, dm, cost, gmax):
 
 
 @pytest.mark.parametrize("cost", [power(1.5), power(3), power(4),
-                                  quadratic_linear(0.25, 1.0)])
+                                  quadratic_linear(0.25, 1.0), quadratic(), power(2)])
 def test_line_search_matches_bisection(cost):
-    # row means in [0, 2] cross the qlin kink at h = 1; rows at mean 0
-    # give p = 1.5 an infinite curvature, where Newton must bisect
+    # row means in [0, 2] cross the qlin kink at h = 1, and rows at mean 0
+    # give p = 1.5 an infinite curvature
     rng = np.random.default_rng(8)
     for k in range(200):
         n = int(rng.integers(2, 9))
@@ -139,6 +139,19 @@ def test_line_search_matches_bisection(cost):
         dm = (target - means) / gmax
         args = (mu, mu > 0, means, dm, cost, gmax)
         assert abs(_line_search(*args) - _bisection_line_search(*args)) <= 1e-12, k
+
+    # every row mean grows, so the slope at 0 is >= 0 and the answer is 0;
+    # the slope at 0 is exactly 0 when every row starts at mean 0
+    for k in range(100):
+        n = int(rng.integers(2, 9))
+        mu = rng.dirichlet(np.ones(n))
+        means = np.zeros(n) if k % 2 else 2.0 * rng.random(n)
+        dm = rng.random(n)
+        dm[rng.random(n) < 0.3] = 0.0
+        dm[0] = 1.0
+        args = (mu, mu > 0, means, dm, cost, (0.5, 1.0, 2.0)[k % 3])
+        assert _line_search(*args) == 0.0, k
+        assert _bisection_line_search(*args) <= 1e-12, k
 
 
 @pytest.mark.parametrize("sup, dem", [
