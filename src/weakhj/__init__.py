@@ -27,10 +27,8 @@ from .funcineq import (
     bobkov_ledoux_params,
     classical_mlsi_rhs,
     entropy_exp,
-    gross_rhs,
     herbst_tail_check,
     hypercontractivity_check,
-    lp_norm,
     mlsi_verify,
     poincare_estimate,
     qlin_scaling_check,
@@ -38,9 +36,10 @@ from .funcineq import (
     variance,
 )
 from .hj import (
-    HJReport,
+    BoundaryReport,
     ObstructionResult,
     ObstructionWitness,
+    ResidualReport,
     hj_boundary,
     hj_residual,
     obstruction_search,
@@ -77,14 +76,14 @@ __all__ = [
     "weak_infconv", "weak_infconv_bruteforce", "classical_infconv",
     "time_derivative", "tilde_gradient", "lipschitz_seminorm", "envelope",
     "gradient_envelope_identity",
-    "HJReport", "ObstructionWitness", "ObstructionResult", "hj_residual",
-    "hj_boundary", "obstruction_search",
+    "ResidualReport", "BoundaryReport", "ObstructionWitness",
+    "ObstructionResult", "hj_residual", "hj_boundary", "obstruction_search",
     "Coupling", "TransportResult", "weak_transport_cost",
     "classical_transport_cost", "transport_oracle_small", "relative_entropy",
     "check_transport_entropy", "dual_check", "dual_sweep",
-    "InequalityReport", "variance", "entropy_exp", "lp_norm",
+    "InequalityReport", "variance", "entropy_exp",
     "poincare_estimate", "mlsi_verify", "hypercontractivity_check",
-    "classical_mlsi_rhs", "gross_rhs", "toto_bridge_check",
+    "classical_mlsi_rhs", "toto_bridge_check",
     "bobkov_ledoux_K", "bobkov_ledoux_params", "qlin_scaling_check",
     "appendix_checks", "herbst_tail_check",
     "__version__",

@@ -103,20 +103,6 @@ def entropy_exp(f, mu):
     return math.exp(ref) * value
 
 
-def lp_norm(g, mu, q):
-    """(int g^q dmu)^{1/q}, with the limiting value exp(int log g dmu) at q=0."""
-    g = np.asarray(g, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    if q <= 0:
-        if np.any(g <= 0):
-            raise ValueError("lp_norm with q <= 0 needs strictly positive values")
-    elif np.any(g < 0):
-        raise ValueError("lp_norm needs non-negative values")
-    if q == 0:
-        return math.exp(float(mu @ np.log(g)))
-    return float(mu @ g ** q) ** (1.0 / q)
-
-
 def _log_lp_norm_exp(f, mu, q):
     # log ||e^f||_q without forming e^f; q = 0 is the log-mean.  The max
     # is taken over supp(mu): at a mu-null point it could make every
@@ -377,16 +363,6 @@ def classical_mlsi_rhs(f, mu, K):
     df = f[None, :] - f[:, None]
     de = ef[None, :] - ef[:, None]
     return float(np.sum(de * df * mu[:, None] * k))
-
-
-def gross_rhs(f, mu, K):
-    """sum_{x,y} (f(y) - f(x))^2 mu(x) K(x,y)."""
-    f = np.asarray(f, dtype=float)
-    k = K.matrix
-    if f.shape != (k.shape[0],):
-        raise ValueError(f"function has shape {f.shape}, kernel is {k.shape}")
-    df = f[None, :] - f[:, None]
-    return float(np.sum(df * df * mu[:, None] * k))
 
 
 def toto_bridge_check(mu, K, space, samples=200, seed=0):

@@ -2,13 +2,14 @@
 
 Three pieces.  `hj_residual` evaluates, per point, the subsolution
 residual d/dt Q~_t f + alpha*(|grad Q~_t f|) from the exact derivative
-formula and certifies that it is non-positive.  `hj_boundary`
-extrapolates the small-time limit of (Q~_t f - f)/t from t = 2^-19 and
-2^-20 and matches it against -alpha*(|grad f|).  `obstruction_search`
-looks for a quadruple (f, x, s, t) breaking the semigroup law of the
-classical point-mass evolution Q_t f(x) = min_y f(y) + D_t(x, y),
-starting from the adversarial functions that certify no such family of
-mappings D_t can be a semigroup on a connected space.
+formula and certifies that it is non-positive (a `ResidualReport`).
+`hj_boundary` extrapolates the small-time limit of (Q~_t f - f)/t from
+t = 2^-19 and 2^-20 and matches it against -alpha*(|grad f|) (a
+`BoundaryReport`).  `obstruction_search` looks for a quadruple
+(f, x, s, t) breaking the semigroup law of the classical point-mass
+evolution Q_t f(x) = min_y f(y) + D_t(x, y), starting from the
+adversarial functions that certify no such family of mappings D_t can
+be a semigroup on a connected space.
 """
 
 from __future__ import annotations
@@ -28,43 +29,41 @@ OBSTRUCTION_TOL = 1e-6
 
 _DEFAULT_OBSTRUCTION_TS = (0.25, 0.5, 1.0)
 
-# the fields an HJReport of each kind serialises, in JSON key order
-_REPORT_FIELDS = {
-    "residual": ("kind", "cost", "holds", "t", "residuals", "max_residual",
-                 "conjugate_infinite"),
-    "boundary": ("kind", "cost", "holds", "limits", "targets", "errors",
-                 "max_error", "excluded"),
-}
+
+@dataclass
+class ResidualReport:
+    """Subsolution residuals of one time slice; +inf where the conjugate
+    blows up, at the premise violations listed in `conjugate_infinite`."""
+
+    kind: str = field(default="residual", init=False)
+    cost: str
+    holds: bool
+    t: float
+    residuals: np.ndarray
+    max_residual: float
+    conjugate_infinite: tuple
+
+    def to_json_dict(self):
+        return jsonable(asdict(self))
 
 
 @dataclass
-class HJReport:
-    """Per-point verification record for one residual slice or for the
-    t -> 0 boundary identity.
-
-    Residual slices carry `residuals` (+inf where the conjugate blows
-    up, with those points listed in `conjugate_infinite` as premise
-    violations).  Boundary reports carry extrapolated `limits`, the
+class BoundaryReport:
+    """The t -> 0 boundary identity per point: extrapolated `limits`, the
     `targets` -alpha*(|grad f|), their absolute `errors`, and the
-    `excluded` points whose gradient falls outside the conjugate
-    domain.
-    """
+    `excluded` points whose gradient leaves the conjugate domain."""
 
-    kind: str
+    kind: str = field(default="boundary", init=False)
     cost: str
     holds: bool
-    t: float | None = None
-    residuals: np.ndarray | None = None
-    max_residual: float | None = None
-    conjugate_infinite: tuple = ()
-    limits: np.ndarray | None = None
-    targets: np.ndarray | None = None
-    errors: np.ndarray | None = None
-    max_error: float | None = None
-    excluded: tuple = ()
+    limits: np.ndarray
+    targets: np.ndarray
+    errors: np.ndarray
+    max_error: float
+    excluded: tuple
 
     def to_json_dict(self):
-        return jsonable({k: getattr(self, k) for k in _REPORT_FIELDS[self.kind]})
+        return jsonable(asdict(self))
 
 
 def hj_residual(f, t, cost, space):
@@ -92,8 +91,7 @@ def hj_residual(f, t, cost, space):
     residuals = dq + conj
     infinite = tuple(int(i) for i in np.flatnonzero(~np.isfinite(conj)))
     holds = not infinite and bool(np.all(residuals <= RESIDUAL_TOL))
-    return HJReport(
-        kind="residual",
+    return ResidualReport(
         cost=cost.label(),
         holds=holds,
         t=float(t),
@@ -124,8 +122,7 @@ def hj_boundary(f, cost, space):
     mask = np.ones(space.n, dtype=bool)
     mask[list(excluded)] = False
     max_error = float(errors[mask].max()) if mask.any() else 0.0
-    return HJReport(
-        kind="boundary",
+    return BoundaryReport(
         cost=cost.label(),
         holds=bool(max_error <= BOUNDARY_TOL),
         limits=limits,
@@ -151,9 +148,6 @@ class ObstructionWitness:
     lhs: float          # Q_{t+s} f (x)
     rhs: float          # Q_t (Q_s f) (x)
     gap: float
-
-    def to_json_dict(self):
-        return jsonable(asdict(self))
 
 
 @dataclass
@@ -203,8 +197,12 @@ def obstruction_search(space, d_family=None, t_grid=None, trials=50, seed=0):
     `d_family(t)` returns the n x n matrix D_t, one call per time; the
     default is t * alpha(d / t) for the quadratic alpha.  The family must
     be of that shape with D_t(x, x) = 0 (ValueError otherwise) and
-    recover f as t -> 0; families failing the latter are reported with
-    status "premise-failure" instead of being searched.
+    recover f as t -> 0: a 1-Lipschitz probe must come back within
+    1e-6 d_min at t = d_min 2^-14, with d_min the smallest positive
+    distance (1 on one point).  Families failing this are reported with
+    status "premise-failure" instead of being searched; the default
+    family always passes.  An "exhausted" search records the largest
+    gap it saw as `detail["max_gap_seen"]`.
     """
     if d_family is None:
         def d_family(t):
@@ -220,14 +218,17 @@ def obstruction_search(space, d_family=None, t_grid=None, trials=50, seed=0):
     n = space.n
     rng = np.random.default_rng(seed)
 
-    # small-time premise: Q_t f -> f for a 1-Lipschitz probe
+    # small-time premise: Q_t f -> f for a 1-Lipschitz probe, with times
+    # and threshold in units of the smallest positive distance
+    positive = space.dist[space.dist > 0]
+    unit = float(positive.min()) if positive.size else 1.0
     probe = space.dist[0].copy()
-    probe_ts = [2.0 ** -k for k in (6, 10, 14)]
+    probe_ts = [unit * 2.0 ** -k for k in (6, 10, 14)]
     gaps = []
     for t in probe_ts:
         qt = _classical_step(probe, _family_matrix(d_family, t, space))
         gaps.append(float(np.max(np.abs(qt - probe))))
-    if gaps[-1] > 1e-6:
+    if gaps[-1] > 1e-6 * unit:
         return ObstructionResult(
             status="premise-failure",
             witness=None,
@@ -250,6 +251,7 @@ def obstruction_search(space, d_family=None, t_grid=None, trials=50, seed=0):
             yield rng.normal(0.0, 1.0, n) * max(space.diameter, 1.0)
 
     evaluations = 0
+    max_gap = 0.0
     for tried, f in enumerate(functions(), start=1):
         for s, t in pairs:
             lhs = _classical_step(f, mats[s + t])
@@ -257,6 +259,7 @@ def obstruction_search(space, d_family=None, t_grid=None, trials=50, seed=0):
             evaluations += 1
             gap = np.abs(lhs - rhs)
             x = int(np.argmax(gap))
+            max_gap = max(max_gap, float(gap[x]))
             if gap[x] > OBSTRUCTION_TOL:
                 witness = ObstructionWitness(
                     f=np.asarray(f, dtype=float), x=x, s=s, t=t,
@@ -268,4 +271,4 @@ def obstruction_search(space, d_family=None, t_grid=None, trials=50, seed=0):
     return ObstructionResult(
         status="exhausted", witness=None,
         functions_tried=n + trials, evaluations=evaluations, seed=seed,
-        detail={"t_grid": ts, "max_gap_seen": "below tolerance"})
+        detail={"t_grid": ts, "max_gap_seen": max_gap})

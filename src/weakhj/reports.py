@@ -100,16 +100,25 @@ def chain_report(space, mu=None, C=None, restarts=24, samples=300, seed=0):
     `mlsi.constant` = `entropy_constant`), the chain runs
     at C = 2 C_m: sampled transport-entropy checks in both directions
     at C_m, the exponential dual bound at C, and hypercontractive norm
-    growth with exponent rho + 2t/C on a small (rho, t) grid.
-    `coherent` is True when every leg certifies: a violated or an
-    inconclusive leg makes it False.
+    growth with exponent rho + 2t/C on a small (rho, t) grid.  Each
+    norm-growth leg records the function of smallest margin as its
+    `witness`.  `coherent` is True when every leg certifies: a violated
+    or an inconclusive leg makes it False.  Without C, a search that
+    finds no ratio above 1e-12 (every Ent_mu(e^f) vanishes, as under a
+    Dirac mu) raises ValueError: there is no constant to run the chain
+    at.
     """
     cost = quadratic()
     mu = uniform_measure(space.n) if mu is None else as_measure(mu, space.n)
     estimated = C is None
     est = mlsi_verify(mu, 1.0 if estimated else C, cost, "I", space,
                       restarts=restarts, seed=seed)
-    c_m = max(est.best_ratio, 1e-12) if estimated else float(C)
+    if estimated and est.best_ratio <= 1e-12:
+        raise ValueError(
+            "the entropy search found no ratio above 1e-12, so no entropy "
+            "constant can be estimated (Ent_mu(e^f) vanishes, as under a "
+            "Dirac mu); supply C (--C)")
+    c_m = est.best_ratio if estimated else float(C)
     # an estimated C_m is the largest ratio found: the leg is tested at it
     est.constant, est.verdict = c_m, verdict(est.best_ratio, c_m)
     chain_c = 2.0 * c_m
@@ -123,7 +132,7 @@ def chain_report(space, mu=None, C=None, restarts=24, samples=300, seed=0):
     hc_legs = []
     hc_ok = True
     for rho, t in _HC_LEGS:
-        worst = None
+        worst = witness = None
         violations = 0
         for _ in range(50):
             g = rng.normal(0.0, 1.0, space.n)
@@ -131,11 +140,11 @@ def chain_report(space, mu=None, C=None, restarts=24, samples=300, seed=0):
             if not out["holds"]:
                 violations += 1
             if worst is None or out["margin"] < worst:
-                worst = out["margin"]
+                worst, witness = out["margin"], g
         hc_ok = hc_ok and violations == 0
         hc_legs.append({"rho": rho, "t": t, "q": rho + 2.0 * t / chain_c,
                         "functions": 50, "violations": violations,
-                        "min_margin": float(worst)})
+                        "min_margin": float(worst), "witness": witness})
 
     legs_ok = hc_ok and all(leg.verdict == "certified-no-violation"
                             for leg in (est, te["I"], te["II"], dual))
@@ -158,7 +167,8 @@ def chain_report(space, mu=None, C=None, restarts=24, samples=300, seed=0):
 
 def constants_report(space, mu=None, restarts=24, seed=0):
     """Multi-start Poincare and entropy ratio estimates (quadratic cost,
-    with the entropy witness) and the chain constant C = 2 C_m."""
+    with the entropy witness) and the chain constant C = 2 C_m, with C_m
+    the entropy ratio found: 0 when every Ent_mu(e^f) vanishes."""
     mu = uniform_measure(space.n) if mu is None else as_measure(mu, space.n)
     poincare = poincare_estimate(mu, space, restarts=restarts, seed=seed)
     est = mlsi_verify(mu, 1.0, quadratic(), "I", space, restarts=restarts, seed=seed)
@@ -168,7 +178,7 @@ def constants_report(space, mu=None, restarts=24, seed=0):
         "diameter_bound": 0.5 * space.diameter ** 2,
         "entropy_ratio": est.best_ratio,
         "entropy_witness": est.witness,
-        "chain_constant": 2.0 * max(est.best_ratio, 1e-12),
+        "chain_constant": 2.0 * est.best_ratio,
         "restarts": restarts,
         "seed": seed,
     }

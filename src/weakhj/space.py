@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -243,11 +242,8 @@ def build_example(kind, n=None):
 
 
 def load_space(obj):
-    """Build a space from a JSON dict: either {"n", "edges"} or
-    {"dist", "labels"?}."""
-    if isinstance(obj, str):
-        with open(obj) as fh:
-            obj = json.load(fh)
+    """Build a space from a decoded JSON dict, {"n", "edges"} or {"dist",
+    "labels"?}; the CLI reads, digests and error-checks the file itself."""
     if "edges" in obj:
         return build_from_graph(int(obj["n"]), obj["edges"], obj.get("labels"))
     if "dist" in obj:

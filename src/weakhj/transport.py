@@ -232,14 +232,13 @@ def _mean_objective(pi, mu, dist, cost):
 
 
 def _line_search(mu, pos, means, dm, cost, gmax):
-    """Exact minimizer of g -> sum mu alpha(means + g dm) on [0, gmax]:
+    """Exact minimizer of g -> sum mu alpha(means + g dm) on [0, gmax],
+    gmax > 0 (1.0, or a minimum of positive weight/step ratios):
     the root of the non-decreasing slope s(g) = sum mu dm alpha'(means +
     g dm), bracketed by its signs at the two ends and found by Brent's
     method (`scipy.optimize.brentq`) to the last bits of g.  A slope that
     is nan counts as positive: a row mean that reaches 0 at gmax can land
     a rounding error below it, where a fractional power is nan."""
-    if gmax <= 0:
-        return 0.0
     moving = pos & (dm != 0)  # rows that do not move add nothing
     w, m, d = mu[moving] * dm[moving], means[moving], dm[moving]
 

@@ -123,6 +123,22 @@ def test_obstruction_witness_exit_two(capsys):
     assert res["witness"]["gap"] > 1e-6
 
 
+def test_obstruction_exhausted_exits_zero(tmp_path, capsys):
+    # path:3 scaled by 1e-4 passes the premise probe; a one-point space
+    # has no gap at all
+    for name, dist in (("small", [[0, 1e-4, 2e-4], [1e-4, 0, 1e-4], [2e-4, 1e-4, 0]]),
+                       ("point", [[0]])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"dist": dist}))
+        code, doc = invoke_json(capsys, "obstruction", "--space", str(path),
+                                "--trials", "3")
+        assert code == 0, name
+        res = doc["result"]
+        assert res["status"] == "exhausted" and res["witness"] is None
+        assert isinstance(res["detail"]["max_gap_seen"], float)
+        assert res["detail"]["max_gap_seen"] <= 1e-6
+
+
 def test_obstruction_negative_trials_is_error_object(capsys):
     code, doc = invoke_json(capsys, "obstruction", "--space", "path:3",
                             "--trials", "-5")
@@ -237,13 +253,46 @@ def test_chain_verify_tests_the_entropy_leg_at_its_estimate(capsys):
 
 def test_chain_verify_with_mu_null_points(capsys):
     code, doc = invoke_json(capsys, "chain-verify", "--space", "path:3",
-                            "--mu", "1,0,0", "--samples", "5", "--restarts", "2")
+                            "--mu", "1,0,0", "--C", "1", "--samples", "5",
+                            "--restarts", "2")
     assert code == 0
     res = doc["result"]
     # every sampled nu charges a mu-null point: transport has no sample
     assert res["coherent"] is False
     assert res["transport"]["I"]["verdict"] == "inconclusive"
     assert all(leg["violations"] == 0 for leg in res["hypercontractivity"])
+
+
+def test_dirac_mu_has_no_estimated_entropy_constant(capsys):
+    # every Ent_mu(e^f) vanishes: the chain has no constant to run at
+    code, doc = invoke_json(capsys, "chain-verify", "--space", "path:3",
+                            "--mu", "1,0,0", "--samples", "5", "--restarts", "2")
+    assert code == 1
+    assert doc["error"]["type"] == "value"
+    assert "--C" in doc["error"]["message"]
+    code, doc = invoke_json(capsys, "constants", "--space", "path:3",
+                            "--mu", "1,0,0", "--restarts", "2")
+    assert code == 0
+    assert doc["result"]["entropy_ratio"] == 0.0
+    assert doc["result"]["chain_constant"] == 0.0
+
+
+def test_chain_verify_norm_growth_violation_carries_witness(capsys):
+    from weakhj import build_example, uniform_measure
+    from weakhj.funcineq import hypercontractivity_check
+
+    code, doc = invoke_json(capsys, "chain-verify", "--space", "two_point",
+                            "--C", "0.1", "--samples", "20", "--restarts", "2")
+    assert code == 2
+    res = doc["result"]
+    legs = [leg for leg in res["hypercontractivity"] if leg["violations"]]
+    assert legs
+    space = build_example("two_point")
+    for leg in legs:
+        out = hypercontractivity_check(uniform_measure(2), res["chain_constant"],
+                                       leg["witness"], leg["rho"], leg["t"], space)
+        assert not out["holds"]
+        assert out["margin"] == leg["min_margin"]
 
 
 def test_examples_two_point_report(capsys):

@@ -15,10 +15,8 @@ from weakhj.funcineq import (
     bobkov_ledoux_params,
     classical_mlsi_rhs,
     entropy_exp,
-    gross_rhs,
     herbst_tail_check,
     hypercontractivity_check,
-    lp_norm,
     mlsi_verify,
     poincare_estimate,
     qlin_scaling_check,
@@ -91,17 +89,6 @@ def test_log_norms_and_entropy_skip_mu_null_points():
     assert out["holds"] and out["log_lhs"] == 0.0 and out["log_rhs"] == 0.0
     out = hypercontractivity_check(mu, 0.5, f, 0.5, 1.0, sp)
     assert out["holds"] and out["log_lhs"] == 0.0 and out["log_rhs"] == 0.0
-
-
-def test_lp_norm_fixtures():
-    mu = uniform_measure(2)
-    g = np.array([math.e, 1.0])
-    assert_allclose(lp_norm(g, mu, 0.0), math.sqrt(math.e), rtol=1e-14)
-    assert_allclose(lp_norm(g, mu, 2.0), math.sqrt((math.e**2 + 1) / 2), rtol=1e-14)
-    with pytest.raises(ValueError):
-        lp_norm(np.array([-1.0, 1.0]), mu, 2.0)
-    with pytest.raises(ValueError):
-        lp_norm(np.array([0.0, 1.0]), mu, 0.0)
 
 
 def test_poincare_two_point_is_half():
@@ -208,11 +195,8 @@ def test_discrete_dirichlet_forms():
     kernel = KernelMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     f = np.array([1.0, 0.0])
     assert_allclose(classical_mlsi_rhs(f, mu, kernel), math.e - 1, rtol=1e-14)
-    assert_allclose(gross_rhs(f, mu, kernel), 1.0, rtol=1e-14)
     with pytest.raises(ValueError):
         classical_mlsi_rhs(np.ones(3), mu, kernel)
-    with pytest.raises(ValueError):
-        gross_rhs(np.ones(3), mu, kernel)
 
 
 def test_kernel_bridge_two_point():

@@ -244,6 +244,16 @@ def test_obstruction_zero_family_premise_failure():
     np.testing.assert_allclose(res.detail["probe_gaps"], [1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("scale", [1e-4, 1e-8])
+def test_obstruction_premise_probe_scales_with_distances(scale):
+    # d^2/2t recovers a 1-Lipschitz probe once t <= d_min/2, so the probe
+    # times and threshold run in units of d_min: a small path passes
+    path = build_example("path", 3)
+    res = obstruction_search(MetricSpace(scale * path.dist), seed=0)
+    assert res.status == "exhausted"
+    assert 0.0 <= res.detail["max_gap_seen"] <= 1e-6
+
+
 def test_obstruction_rejects_nonzero_diagonal():
     with pytest.raises(ValueError, match="vanish"):
         obstruction_search(TWO_POINT, d_family=lambda t: np.ones((2, 2)))
@@ -267,6 +277,7 @@ def test_obstruction_single_point_exhausted():
     assert res.witness is None
     assert res.functions_tried == 11
     assert res.evaluations == 11 * 9  # full grid square per function
+    assert res.detail["max_gap_seen"] == 0.0
 
 
 def test_obstruction_rejects_bad_trials():
@@ -309,15 +320,15 @@ def test_obstruction_reproducible():
 
 def test_residual_report_json_keys():
     js = hj_residual([1.0, 0.0], 0.5, quadratic(), TWO_POINT).to_json_dict()
-    assert set(js) == {"kind", "cost", "holds", "t", "residuals",
-                       "max_residual", "conjugate_infinite"}
+    assert list(js) == ["kind", "cost", "holds", "t", "residuals",
+                        "max_residual", "conjugate_infinite"]
     assert js["kind"] == "residual" and js["cost"] == "quadratic"
 
 
 def test_boundary_report_json_keys():
     js = hj_boundary([1.0, 0.0], quadratic(), TWO_POINT).to_json_dict()
-    assert set(js) == {"kind", "cost", "holds", "limits", "targets",
-                       "errors", "max_error", "excluded"}
+    assert list(js) == ["kind", "cost", "holds", "limits", "targets",
+                        "errors", "max_error", "excluded"]
     assert js["kind"] == "boundary"
 
 

@@ -203,7 +203,7 @@ def test_load_space_roundtrip(tmp_path):
     sp = build_example("cycle", 5)
     f = tmp_path / "space.json"
     f.write_text(json.dumps(sp.to_json_dict()))
-    sp2 = load_space(str(f))
+    sp2 = load_space(json.loads(f.read_text()))
     np.testing.assert_allclose(sp2.dist, sp.dist)
     sp3 = load_space({"n": 3, "edges": [[0, 1, 1.0], [1, 2, 2.0]]})
     assert sp3.dist[0, 2] == 3.0
