@@ -37,7 +37,6 @@ from .reports import (
     chain_report,
     constants_report,
     hypercube_report,
-    symmetric_group_report,
     two_point_report,
 )
 from .space import MetricViolation, build_example, jsonable, load_space
@@ -290,7 +289,7 @@ def _cmd_te_verify(args, inputs):
     cost = _parse_cost(args.cost)
     report = check_transport_entropy(
         mu, args.C, cost, space, direction=args.direction,
-        sampler=args.sampler, n_samples=args.samples, seed=args.seed)
+        n_samples=args.samples, seed=args.seed)
     payload = report.to_json_dict()
     return payload, 2 if report.violated else 0
 
@@ -321,9 +320,7 @@ def _cmd_examples(args, inputs):
         payload = two_point_report(**budget)
         return payload, 0 if payload["holds"] else 2
     size = {} if args.n is None else {"n": args.n}
-    if args.which == "hypercube":
-        return hypercube_report(**size, samples=args.samples, **budget), 0
-    return symmetric_group_report(**size, **budget), 0
+    return hypercube_report(**size, samples=args.samples, **budget), 0
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +400,6 @@ def _build_parser():
     p.add_argument("--mu", default=None)
     p.add_argument("--C", type=float, required=True)
     p.add_argument("--direction", choices=("I", "II"), default="I")
-    p.add_argument("--sampler", default="mixed")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--cost", default="quadratic")
     p.set_defaults(handler=_cmd_te_verify)
@@ -427,8 +423,7 @@ def _build_parser():
 
     p = sub.add_parser("examples", parents=[common],
                        help="worked example reports")
-    p.add_argument("which", choices=("two-point", "hypercube",
-                                     "symmetric-group"))
+    p.add_argument("which", choices=("two-point", "hypercube"))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--samples", type=int, default=300)
     p.add_argument("--restarts", type=int, default=24)

@@ -6,9 +6,9 @@ through `space.jsonable`.
 The two-point report checks every closed-form value of the smallest
 space.  `constants_report` is the one routine that turns a space into
 Poincare and entropy ratio estimates and the chain constant 2 C_m; the
-hypercube and symmetric-group reports return its block plus their own
-keys, recording the measured ratios against the commonly quoted n/4
-and n/8 targets without asserting them.  `chain_report`
+hypercube report returns its block plus its own keys, recording the
+measured ratios against the commonly quoted n/4 and n/8 targets without
+asserting them.  `chain_report`
 wires one certified entropy constant through the transport, dual and
 hypercontractivity consequences with consistent bookkeeping: a
 certified ratio sup C_m in the form Ent(e^f) <= C_m int alpha*(|grad
@@ -33,7 +33,8 @@ from .hj import hj_boundary, hj_residual
 from .space import as_measure, build_example, uniform_measure
 from .transport import check_transport_entropy, dual_sweep
 
-_HC_LEGS = ((0.0, 1.0), (0.5, 1.0), (1.0, 0.5))
+# (rho, t) = (0, 1) is the exponential dual bound, the `dual` leg
+_HC_LEGS = ((0.5, 1.0), (1.0, 0.5))
 
 
 def two_point_report(restarts=64, seed=0):
@@ -100,7 +101,8 @@ def chain_report(space, mu=None, C=None, restarts=24, samples=300, seed=0):
     `mlsi.constant` = `entropy_constant`), the chain runs
     at C = 2 C_m: sampled transport-entropy checks in both directions
     at C_m, the exponential dual bound at C, and hypercontractive norm
-    growth with exponent rho + 2t/C on a small (rho, t) grid.  Each
+    growth with exponent rho + 2t/C at (rho, t) = (0.5, 1) and (1, 0.5);
+    at (0, 1) norm growth is the dual bound, scaled by 2/C.  Each
     norm-growth leg records the function of smallest margin as its
     `witness`.  `coherent` is True when every leg certifies: a violated
     or an inconclusive leg makes it False.  Without C, a search that
@@ -216,21 +218,3 @@ def hypercube_report(n=2, restarts=24, samples=300, seed=0):
                  "recorded, not asserted"),
     }
 
-
-def symmetric_group_report(n=3, restarts=8, seed=0):
-    """Small-budget constants survey on the transposition graph of S_n.
-
-    A stand-in for the large-n regimes that a desk-scale run cannot
-    reach; records the `constants_report` block with the diameter,
-    asserting nothing.
-    """
-    space = build_example("symmetric_group", n)
-    return {
-        **constants_report(space, restarts=restarts, seed=seed),
-        "space": f"symmetric_group({n})",
-        "vertices": space.n,
-        "diameter": space.diameter,
-        "note": ("desk-scale substitute: constants are measured lower "
-                 "bounds at a small search budget, recorded without "
-                 "assertion"),
-    }

@@ -424,10 +424,9 @@ def transport_oracle_small(nu, mu, cost, space):
 def _sample_measure(rng, n, index, sampler):
     if callable(sampler):
         return np.asarray(sampler(rng, n), dtype=float)
-    if sampler not in ("mixed", "dirichlet", "sparse"):
+    if sampler != "mixed":
         raise ValueError(f"unknown sampler {sampler!r}")
-    sparse = sampler == "sparse" or (sampler == "mixed" and index % 2 == 1)
-    if not sparse or n == 1:
+    if index % 2 == 0 or n == 1:
         return rng.dirichlet(np.ones(n))
     i, j = rng.choice(n, size=2, replace=False)
     out = np.zeros(n)
@@ -443,9 +442,11 @@ def check_transport_entropy(
     """Sampled sweep of the transport-entropy inequality.
 
     Direction I tests T(mu|nu) <= C H(nu|mu), direction II tests
-    T(nu|mu) <= C H(nu|mu), over nu drawn from Dirichlet and
-    sparse-support distributions.  Samples with H zero (nu = mu) or
-    infinite (support violation, inequality trivial) are skipped.
+    T(nu|mu) <= C H(nu|mu), over nu drawn by `sampler`: "mixed" draws
+    even samples from the flat Dirichlet law and odd ones on two random
+    points; a callable sampler(rng, n) returns nu itself.  Samples with
+    H zero (nu = mu) or infinite (support violation, inequality trivial)
+    are skipped.
 
     Each evaluated sample is one `weak_transport_cost` solve at gap
     tolerance 1e-9 H.  Its value is an upper bound on the cost, so the

@@ -37,7 +37,7 @@ from weakhj.transport import (
     check_transport_entropy,
     dual_sweep,
 )
-from weakhj.reports import constants_report, hypercube_report, symmetric_group_report
+from weakhj.reports import constants_report, hypercube_report
 
 ALL_COSTS = [quadratic(), power(1.5), power(3.0), quadratic_linear(1.0, 1.0)]
 SWEEP_SPACES = [
@@ -354,13 +354,13 @@ def test_desk_scale_reports_record_quoted_targets():
     assert all(isinstance(v, bool) for v in rep["targets_met"].values())
     assert "n/4-vs-n/2" in rep["note"]
 
-    s3 = symmetric_group_report(n=3, restarts=8, seed=0)
+    s3 = constants_report(build_example("symmetric_group", 3), restarts=8, seed=0)
     assert s3["entropy_ratio"] > 0
     assert s3["chain_constant"] == pytest.approx(2.0 * s3["entropy_ratio"])
 
 
 def test_worked_reports_share_the_constants_block():
-    survey = symmetric_group_report(3, restarts=4)
-    block = constants_report(build_example("symmetric_group", 3), restarts=4)
+    survey = hypercube_report(2, restarts=4, samples=10)
+    block = constants_report(build_example("hypercube", 2), restarts=4)
     for key in ("poincare", "entropy_ratio", "chain_constant"):
         assert survey[key] == block[key]

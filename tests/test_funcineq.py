@@ -266,6 +266,15 @@ def test_hypercontractivity_agrees_with_dual_form():
         assert hc["holds"] == du["holds"]
         assert_allclose(hc["log_lhs"], du["log_lhs"], rtol=1e-12, atol=1e-12)
         assert_allclose(hc["log_rhs"], du["log_rhs"], rtol=1e-12, atol=1e-12)
+    # at any C the norm-growth exponent is 2/C and the dual logs are the
+    # norm-growth logs times 2/C: one inequality, so one chain leg
+    for C in (0.5, 2.0, 3.0):
+        for _ in range(20):
+            f = rng.standard_normal(5)
+            hc = hypercontractivity_check(mu, C, f, 0.0, 1.0, sp)
+            du = dual_check(mu, C, f, quadratic(), sp)
+            assert_allclose(du["log_lhs"], 2.0 / C * hc["log_lhs"], rtol=0, atol=1e-12)
+            assert_allclose(du["log_rhs"], 2.0 / C * hc["log_rhs"], rtol=0, atol=1e-12)
 
 
 def test_hypercontractivity_hypercube_sweep():

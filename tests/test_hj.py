@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from weakhj.calculus import time_derivative, weak_infconv
+from weakhj.calculus import tilde_gradient, time_derivative, weak_infconv
 from weakhj.cost import power, quadratic, quadratic_linear
 from weakhj.hj import (
     ObstructionWitness,
@@ -185,9 +185,35 @@ def test_boundary_evaluates_only_the_ratios_it_reads(monkeypatch):
 
     monkeypatch.setattr(hj, "weak_infconv", counted)
     rep = hj_boundary(f, cost, space)
-    assert calls == [2.0 ** -19, 2.0 ** -20]
-    r = [(weak_infconv(f, t, cost, space).values - f) / t for t in calls]
-    np.testing.assert_array_equal(rep.limits, 2.0 * r[1] - r[0])
+    # t = d_min / (2 (alpha*)'(G)) with d_min = 1 and (alpha*)'(y) = y^(1/2)
+    t = 1.0 / (2.0 * np.sqrt(np.max(tilde_gradient(f, space))))
+    assert calls == [t]
+    np.testing.assert_array_equal(
+        rep.limits, (weak_infconv(f, t, cost, space).values - f) / t)
+
+
+@pytest.mark.parametrize("peak", [1e3, 1e4])
+def test_boundary_steep_function_holds(peak):
+    # at t = 2^-19 the minimiser of the peak sat past the first breakpoint
+    # of its envelope, so extrapolating from small times missed the limit
+    rep = hj_boundary([0.0, peak, 0.0], power(1.5), build_example("path", 3))
+    assert rep.holds and rep.excluded == ()
+    target = -peak ** 3 / 3.0  # alpha*(y) = y^3/3 for p = 3/2
+    np.testing.assert_allclose(rep.limits, [0.0, target, 0.0], rtol=1e-12, atol=0)
+
+
+def test_boundary_limits_are_exact_across_costs():
+    rng = np.random.default_rng(5)
+    for space in SWEEP_SPACES:
+        for cost in SWEEP_COSTS:
+            for _ in range(5):
+                f = rng.normal(0.0, 1.5, space.n)
+                rep = hj_boundary(f, cost, space)
+                keep = np.ones(space.n, dtype=bool)
+                keep[list(rep.excluded)] = False
+                err = np.abs(rep.limits - rep.targets)[keep]
+                assert np.all(err <= 1e-9 * (1.0 + np.abs(rep.targets[keep]))), \
+                    (space.n, cost.label(), err.max())
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +273,13 @@ def test_obstruction_zero_family_premise_failure():
 @pytest.mark.parametrize("scale", [1e-4, 1e-8])
 def test_obstruction_premise_probe_scales_with_distances(scale):
     # d^2/2t recovers a 1-Lipschitz probe once t <= d_min/2, so the probe
-    # times and threshold run in units of d_min: a small path passes
+    # times and threshold run in units of d_min: a small path passes; D_t
+    # is unchanged under (d, t) -> (l d, l^2 t), so the default t-grid in
+    # units of d_min^2 finds the unit path's witness
     path = build_example("path", 3)
     res = obstruction_search(MetricSpace(scale * path.dist), seed=0)
-    assert res.status == "exhausted"
-    assert 0.0 <= res.detail["max_gap_seen"] <= 1e-6
+    assert res.status == "witness" and res.functions_tried == 1
+    np.testing.assert_allclose(res.witness.gap, 1.0, rtol=0, atol=1e-12)
 
 
 def test_obstruction_rejects_nonzero_diagonal():
@@ -333,7 +361,7 @@ def test_boundary_report_json_keys():
 
 
 def test_boundary_consistent_with_small_t_values():
-    # the extrapolated limit agrees with the raw ratio at the smallest time
+    # the limit agrees with the raw ratio at a much smaller time
     f = np.array([0.7, -0.3, 0.2, 1.1])
     space = build_example("complete", 4)
     rep = hj_boundary(f, quadratic(), space)
