@@ -29,6 +29,7 @@ from .funcineq import (
     entropy_exp,
     herbst_tail_check,
     hypercontractivity_check,
+    hypercontractivity_sweep,
     mlsi_verify,
     poincare_estimate,
     qlin_scaling_check,
@@ -60,7 +61,6 @@ from .transport import (
     check_transport_entropy,
     classical_transport_cost,
     dual_check,
-    dual_sweep,
     relative_entropy,
     transport_oracle_small,
     weak_transport_cost,
@@ -80,9 +80,10 @@ __all__ = [
     "ObstructionResult", "hj_residual", "hj_boundary", "obstruction_search",
     "Coupling", "TransportResult", "weak_transport_cost",
     "classical_transport_cost", "transport_oracle_small", "relative_entropy",
-    "check_transport_entropy", "dual_check", "dual_sweep",
+    "check_transport_entropy", "dual_check",
     "InequalityReport", "variance", "entropy_exp",
     "poincare_estimate", "mlsi_verify", "hypercontractivity_check",
+    "hypercontractivity_sweep",
     "classical_mlsi_rhs", "toto_bridge_check",
     "bobkov_ledoux_K", "bobkov_ledoux_params", "qlin_scaling_check",
     "appendix_checks", "herbst_tail_check",

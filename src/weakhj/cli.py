@@ -307,10 +307,9 @@ def _cmd_chain_verify(args, inputs):
     mu = _load_vector_arg(args.mu, "mu", inputs) if args.mu else None
     payload = chain_report(space, mu, C=args.C, restarts=args.restarts,
                            samples=args.samples, seed=args.seed)
-    legs = [payload["mlsi"], payload["dual"], *payload["transport"].values()]
-    violated = (any(leg["verdict"] == "violated" for leg in legs)
-                or any(hc["violations"] for hc in payload["hypercontractivity"]))
-    return payload, 2 if violated else 0
+    legs = [payload["mlsi"], payload["dual"], *payload["transport"].values(),
+            *payload["hypercontractivity"]]
+    return payload, 2 if any(leg["verdict"] == "violated" for leg in legs) else 0
 
 
 def _cmd_examples(args, inputs):

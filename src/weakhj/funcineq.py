@@ -2,10 +2,11 @@
 
 Variance and exponential-entropy functionals, multi-start subgradient
 search for the best Poincare and modified log-Sobolev ratios of the
-nonlinear gradient, hypercontractivity of the weak inf-convolution
-semigroup, the bridge from Markov-kernel Dirichlet forms, and the
-constant bookkeeping that links a Poincare constant to a
-quadratic-linear entropy bound.
+nonlinear gradient, hypercontractive norm growth of the weak
+inf-convolution semigroup and its sampled sweep (at (rho, t) = (0, 1)
+the exponential dual bound of the transport inequality), the bridge
+from Markov-kernel Dirichlet forms, and the constant bookkeeping that
+links a Poincare constant to a quadratic-linear entropy bound.
 
 Every estimator returns an :class:`InequalityReport`.  A
 "certified-no-violation" verdict is an empirical statement at the
@@ -399,12 +400,15 @@ def toto_bridge_check(mu, K, space, samples=200, seed=0):
 # hypercontractivity
 
 
-def hypercontractivity_check(mu, C, f, rho, t, space):
-    """Compare ||e^{Q_t f}||_{rho + 2t/C} with ||e^f||_rho (quadratic cost).
+def hypercontractivity_check(mu, C, f, rho, t, space, cost=None):
+    """Compare ||e^{Q_t f}||_{rho + 2t/C} with ||e^f||_rho (default cost:
+    quadratic).
 
     Allowed ranges: rho >= 0 with t >= 0, or rho < 0 with
     0 <= t <= -rho C / 2.  Norms are evaluated in log space, with the
-    q = 0 norm the exponential of the mean log.
+    q = 0 norm the exponential of the mean log.  At (rho, t) = (0, 1) this
+    is the exponential dual bound of the transport inequality, whose logs
+    are 2/C times these (`transport.dual_check`).
     """
     mu = as_measure(mu, space.n)
     f = as_function(f, space.n)
@@ -419,7 +423,7 @@ def hypercontractivity_check(mu, C, f, rho, t, space):
     if t == 0:
         value = _log_lp_norm_exp(f, mu, rho)
         return {"holds": True, "q": q, "log_lhs": value, "log_rhs": value, "margin": 0.0}
-    qtf = weak_infconv(f, t, quadratic(), space).values
+    qtf = weak_infconv(f, t, quadratic() if cost is None else cost, space).values
     log_lhs = _log_lp_norm_exp(qtf, mu, q)
     log_rhs = _log_lp_norm_exp(f, mu, rho)
     return {
@@ -429,6 +433,27 @@ def hypercontractivity_check(mu, C, f, rho, t, space):
         "log_rhs": log_rhs,
         "margin": log_rhs - log_lhs,
     }
+
+
+def hypercontractivity_sweep(mu, C, rho, t, cost, space, n_samples=1000, seed=0):
+    """Run hypercontractivity_check over the estimators' test functions
+    (Gaussian profiles and indicators of metric balls at several
+    amplitudes).  `best_ratio` is the largest norm ratio
+    ||e^{Q_t f}||_q / ||e^f||_rho found, against the constant 1; the
+    verdict tests its log, `details.best_log_ratio`, against 0."""
+    mu = as_measure(mu, space.n)
+
+    def evaluate(rng, k):
+        f = _seed_function(rng, space, k)
+        check = hypercontractivity_check(mu, C, f, rho, t, space, cost)
+        log_ratio = check["log_lhs"] - check["log_rhs"]
+        return log_ratio, math.exp(min(log_ratio, 700.0)), f
+
+    return _sweep("hypercontractivity", 1.0, n_samples, seed, evaluate,
+                  lambda best_log: {"C": float(C), "cost": cost.label(), "rho": rho,
+                                    "t": t, "q": rho + 2.0 * t / C,
+                                    "best_log_ratio": best_log},
+                  threshold=0.0)
 
 
 # ---------------------------------------------------------------------------

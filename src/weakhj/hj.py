@@ -3,7 +3,7 @@
 Three pieces.  `hj_residual` evaluates, per point, the subsolution
 residual d/dt Q~_t f + alpha*(|grad Q~_t f|) from the exact derivative
 formula and certifies that it is non-positive (a `ResidualReport`).
-`hj_boundary` reads the small-time limit of (Q~_t f - f)/t at one time
+`hj_boundary` reads the small-time limit of (Q~_t f - f)/t at times
 small enough for the ratio to equal it, and matches it against
 -alpha*(|grad f|) (a `BoundaryReport`).  `obstruction_search` looks for
 a quadruple (f, x, s, t) breaking the semigroup law of the classical point-mass
@@ -26,6 +26,7 @@ from .space import as_count, as_function, as_positive, jsonable
 RESIDUAL_TOL = 1e-9
 BOUNDARY_TOL = 1e-6
 OBSTRUCTION_TOL = 1e-6
+_EPS = np.finfo(float).eps
 
 _DEFAULT_OBSTRUCTION_TS = (0.25, 0.5, 1.0)
 
@@ -104,12 +105,16 @@ def hj_residual(f, t, cost, space):
 def hj_boundary(f, cost, space):
     """Small-time identity lim (Q~_t f(x) - f(x))/t = -alpha*(|grad f|(x)).
 
-    On a finite space the limit is reached: with G the largest |grad f|
-    over the verified points and d_min the smallest positive distance (1
-    on one point), every minimiser at t <= d_min / (alpha*)'(G) lies on
-    the first envelope segment, where Q~_t f = f - t alpha*(|grad f|).
-    `limits` is (Q~_t f - f)/t at half that time (d_min when G = 0).  A
-    point verifies when its error is at most 1e-6 (1 + |target|), since
+    On a finite space the limit is reached: with d_min the smallest
+    positive distance (1 on one point), the minimiser at x lies on its
+    first envelope segment, where Q~_t f = f - t alpha*(|grad f|), for
+    every t <= d_min / (alpha*)'(|grad f|(x)).  `limits` is (Q~_t f - f)/t
+    at half that bound for G, the largest |grad f| over the verified
+    points (at d_min when G = 0).  A point whose ratio could lose a
+    thousandth of its tolerance to rounding there, a flat point with
+    large |f|, is read again at its own time when that is longer: the
+    largest power of two at most d_min and half its own bound, with one
+    evaluation of Q~_t f per distinct time.  A point verifies when its error is at most 1e-6 (1 + |target|), since
     the rounding of the ratio grows with the target; `max_error` is the
     largest absolute error.  Points with |grad f|(x) >= l, where l bounds
     the conjugate domain, are excluded from the verdict and listed.
@@ -123,8 +128,20 @@ def hj_boundary(f, cost, space):
     d_min = _smallest_distance(space)
     t = d_min / (2.0 * cost.conjugate_deriv(steepest)) if steepest > 0 else d_min
     limits = (weak_infconv(f, t, cost, space).values - f) / t
-
     targets = -np.atleast_1d(np.asarray(cost.conjugate(g), dtype=float))
+
+    # rounding costs the ratio about eps (1 + |f(x)|) / t; powers of two
+    # let points share a time
+    loose = mask & (4.0 * _EPS * (1.0 + np.abs(f)) / t
+                    > 1e-3 * BOUNDARY_TOL * (1.0 + np.abs(targets)))
+    if loose.any():
+        with np.errstate(divide="ignore"):
+            own = 2.0 ** np.floor(np.log2(np.minimum(
+                d_min, d_min / (2.0 * cost.conjugate_deriv(g[loose])))))
+        for s in np.unique(own[own > t]):
+            at = np.flatnonzero(loose)[own == s]
+            limits[at] = (weak_infconv(f, s, cost, space).values[at] - f[at]) / s
+
     errors = np.abs(limits - targets)
     ok = errors[mask] <= BOUNDARY_TOL * (1.0 + np.abs(targets[mask]))
     return BoundaryReport(

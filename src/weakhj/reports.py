@@ -7,13 +7,15 @@ The two-point report checks every closed-form value of the smallest
 space.  `constants_report` is the one routine that turns a space into
 Poincare and entropy ratio estimates and the chain constant 2 C_m; the
 hypercube report returns its block plus its own keys, recording the
-measured ratios against the commonly quoted n/4 and n/8 targets without
-asserting them.  `chain_report`
-wires one certified entropy constant through the transport, dual and
-hypercontractivity consequences with consistent bookkeeping: a
-certified ratio sup C_m in the form Ent(e^f) <= C_m int alpha*(|grad
-f|) e^f dmu yields the chain constant C = 2 C_m, transport checks at
-C/2 = C_m, the dual bound at C, and norm growth exponent rho + 2t/C.
+measured ratios, which sit between n/4 and n/2 on small cubes, against
+the commonly quoted n/4 and n/8 targets without asserting them.
+`chain_report` wires one certified entropy constant through the
+transport, dual and hypercontractivity consequences with consistent
+bookkeeping: a certified ratio sup C_m in the form Ent(e^f) <= C_m int
+alpha*(|grad f|) e^f dmu yields the chain constant C = 2 C_m, transport
+checks at C/2 = C_m, and norm growth with exponent rho + 2t/C, whose
+(rho, t) = (0, 1) case is the dual bound at C.  Every leg is an
+`InequalityReport`.
 """
 
 from __future__ import annotations
@@ -24,17 +26,14 @@ from .cost import quadratic
 from .calculus import time_derivative, weak_infconv
 from .funcineq import (
     RATIO_SLACK,
-    hypercontractivity_check,
+    hypercontractivity_sweep,
     mlsi_verify,
     poincare_estimate,
     verdict,
 )
 from .hj import hj_boundary, hj_residual
 from .space import as_measure, build_example, uniform_measure
-from .transport import check_transport_entropy, dual_sweep
-
-# (rho, t) = (0, 1) is the exponential dual bound, the `dual` leg
-_HC_LEGS = ((0.5, 1.0), (1.0, 0.5))
+from .transport import check_transport_entropy
 
 
 def two_point_report(restarts=64, seed=0):
@@ -100,12 +99,14 @@ def chain_report(space, mu=None, C=None, restarts=24, samples=300, seed=0):
     the entropy search finds (the `mlsi` leg is then tested at it,
     `mlsi.constant` = `entropy_constant`), the chain runs
     at C = 2 C_m: sampled transport-entropy checks in both directions
-    at C_m, the exponential dual bound at C, and hypercontractive norm
-    growth with exponent rho + 2t/C at (rho, t) = (0.5, 1) and (1, 0.5);
-    at (0, 1) norm growth is the dual bound, scaled by 2/C.  Each
-    norm-growth leg records the function of smallest margin as its
-    `witness`.  `coherent` is True when every leg certifies: a violated
-    or an inconclusive leg makes it False.  Without C, a search that
+    at C_m, and hypercontractive norm growth with exponent rho + 2t/C
+    sampled by `hypercontractivity_sweep` at (rho, t) = (0, 1), the
+    exponential dual bound at C (the `dual` leg), and at (0.5, 1) and
+    (1, 0.5) (the `hypercontractivity` legs).  Every leg is an
+    `InequalityReport` over `samples` draws (restarts for `mlsi`) from
+    `seed`; a norm-growth leg's `witness` is the function of largest norm
+    ratio.  `coherent` is True when every leg certifies: a violated or an
+    inconclusive leg makes it False.  Without C, a search that
     finds no ratio above 1e-12 (every Ent_mu(e^f) vanishes, as under a
     Dirac mu) raises ValueError: there is no constant to run the chain
     at.
@@ -128,28 +129,11 @@ def chain_report(space, mu=None, C=None, restarts=24, samples=300, seed=0):
     te = {d: check_transport_entropy(mu, c_m, cost, space, direction=d,
                                      n_samples=samples, seed=seed)
           for d in ("I", "II")}
-    dual = dual_sweep(mu, chain_c, cost, space, n_samples=samples, seed=seed)
-
-    rng = np.random.default_rng(seed)
-    hc_legs = []
-    hc_ok = True
-    for rho, t in _HC_LEGS:
-        worst = witness = None
-        violations = 0
-        for _ in range(50):
-            g = rng.normal(0.0, 1.0, space.n)
-            out = hypercontractivity_check(mu, chain_c, g, rho, t, space)
-            if not out["holds"]:
-                violations += 1
-            if worst is None or out["margin"] < worst:
-                worst, witness = out["margin"], g
-        hc_ok = hc_ok and violations == 0
-        hc_legs.append({"rho": rho, "t": t, "q": rho + 2.0 * t / chain_c,
-                        "functions": 50, "violations": violations,
-                        "min_margin": float(worst), "witness": witness})
-
-    legs_ok = hc_ok and all(leg.verdict == "certified-no-violation"
-                            for leg in (est, te["I"], te["II"], dual))
+    # norm growth at (rho, t) = (0, 1) is the exponential dual bound
+    dual, *growth = (hypercontractivity_sweep(mu, chain_c, rho, t, cost, space,
+                                              n_samples=samples, seed=seed)
+                     for rho, t in ((0.0, 1.0), (0.5, 1.0), (1.0, 0.5)))
+    legs = (est, te["I"], te["II"], dual, *growth)
     return {
         "space": {"n": space.n, "diameter": space.diameter},
         "cost": cost.label(),
@@ -160,8 +144,8 @@ def chain_report(space, mu=None, C=None, restarts=24, samples=300, seed=0):
         "mlsi": est.to_json_dict(),
         "transport": {d: r.to_json_dict() for d, r in te.items()},
         "dual": dual.to_json_dict(),
-        "hypercontractivity": hc_legs,
-        "coherent": bool(legs_ok),
+        "hypercontractivity": [leg.to_json_dict() for leg in growth],
+        "coherent": all(leg.verdict == "certified-no-violation" for leg in legs),
         "samples": samples,
         "seed": seed,
     }
@@ -192,8 +176,8 @@ def hypercube_report(n=2, restarts=24, samples=300, seed=0):
     Records the `constants_report` block and whether the quoted n/4
     (entropy), n/8 (transport) and n/2 levels are met.  The n/4-vs-n/2
     bookkeeping discrepancy is recorded here, never asserted: measured
-    tight ratios on small cubes sit at the n/2 level, above the n/4 and
-    n/8 quotes.
+    tight entropy ratios on small cubes sit between the n/4 quote and the
+    n/2 level (0.82, 1.07 and 1.36 for n = 2, 3, 4).
     """
     space = build_example("hypercube", n)
     report = constants_report(space, restarts=restarts, seed=seed)
@@ -213,8 +197,8 @@ def hypercube_report(n=2, restarts=24, samples=300, seed=0):
         },
         "transport_sampled": te.to_json_dict(),
         "note": ("the quoted n/4 entropy and n/8 transport targets are "
-                 "recorded against measured tight ratios, which sit at the "
-                 "n/2 level on small cubes; the n/4-vs-n/2 discrepancy is "
-                 "recorded, not asserted"),
+                 "recorded against measured tight ratios; on small cubes the "
+                 "entropy ratio sits between n/4 and n/2; the n/4-vs-n/2 "
+                 "discrepancy is recorded, not asserted"),
     }
 

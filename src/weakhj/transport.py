@@ -14,6 +14,8 @@ re-optimizes over the convex hull of the vertices found so far, a
 problem in a handful of weights.  The linearization gap certifies the
 value.  For spaces with at most three points an independent oracle
 solves the same convex problem by one SLSQP solve over the plan.
+`dual_check` tests the exponential dual bound for one function; its
+sampled sweep is `funcineq.hypercontractivity_sweep` at (rho, t) = (0, 1).
 """
 
 from __future__ import annotations
@@ -24,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, brentq, minimize
 
-from .calculus import weak_infconv
-from .funcineq import _log_lp_norm_exp, _seed_function, _sweep
-from .space import as_function, as_measure, as_positive
+from .funcineq import _sweep, hypercontractivity_check
+from .space import as_measure, as_positive
 
 MARGINAL_TOL = 1e-10
 EPS = np.finfo(float).eps
@@ -504,14 +505,12 @@ def dual_check(mu, C, phi, cost, space):
 
         int exp((2/C) Q_1 phi) dmu  <=  exp((2/C) int phi dmu)
 
-    for one test function phi; evaluated in log space."""
-    C = as_positive(C, "dual constant")
-    mu = as_measure(mu, space.n)
-    phi = as_function(phi, space.n)
-    lam = 2.0 / C
-    smoothed = weak_infconv(phi, 1.0, cost, space).values
-    log_lhs = lam * _log_lp_norm_exp(smoothed, mu, lam)
-    log_rhs = lam * float(mu @ phi)
+    for one test function phi; evaluated in log space.  It is norm growth
+    at (rho, t) = (0, 1): its logs are 2/C times those of
+    `funcineq.hypercontractivity_check`."""
+    lam = 2.0 / as_positive(C, "dual constant")
+    growth = hypercontractivity_check(mu, C, phi, 0.0, 1.0, space, cost)
+    log_lhs, log_rhs = lam * growth["log_lhs"], lam * growth["log_rhs"]
     return {
         "holds": bool(log_lhs <= log_rhs + 1e-10),
         "log_lhs": log_lhs,
@@ -520,21 +519,3 @@ def dual_check(mu, C, phi, cost, space):
         "lhs": math.exp(log_lhs) if log_lhs < 700 else math.inf,
         "rhs": math.exp(log_rhs) if log_rhs < 700 else math.inf,
     }
-
-
-def dual_sweep(mu, C, cost, space, n_samples=1000, seed=0):
-    """Run dual_check over the estimators' test functions (Gaussian
-    profiles and indicators of metric balls at several amplitudes);
-    reports the largest LHS/RHS ratio against the threshold 1."""
-    mu = as_measure(mu, space.n)
-
-    def evaluate(rng, k):
-        phi = _seed_function(rng, space, k)
-        check = dual_check(mu, C, phi, cost, space)
-        log_ratio = check["log_lhs"] - check["log_rhs"]
-        return log_ratio, math.exp(min(log_ratio, 700.0)), phi
-
-    return _sweep("dual-bound", 1.0, n_samples, seed, evaluate,
-                  lambda best_log: {"C": float(C), "cost": cost.label(),
-                                    "best_log_ratio": best_log},
-                  threshold=0.0)

@@ -26,6 +26,7 @@ from weakhj.funcineq import (
     poincare_estimate,
     mlsi_verify,
     hypercontractivity_check,
+    hypercontractivity_sweep,
     bobkov_ledoux_params,
     qlin_scaling_check,
     appendix_checks,
@@ -35,9 +36,8 @@ from weakhj.transport import (
     weak_transport_cost,
     transport_oracle_small,
     check_transport_entropy,
-    dual_sweep,
 )
-from weakhj.reports import constants_report, hypercube_report
+from weakhj.reports import chain_report, constants_report, hypercube_report
 
 ALL_COSTS = [quadratic(), power(1.5), power(3.0), quadratic_linear(1.0, 1.0)]
 SWEEP_SPACES = [
@@ -213,7 +213,8 @@ def test_entropy_transport_dual_chain_coheres():
                 mu, c_m, quadratic(), sp, direction=direction, n_samples=1000, seed=0
             )
             assert te.verdict == "certified-no-violation", (kind, direction, te.best_ratio)
-        dual = dual_sweep(mu, 2.0 * c_m, quadratic(), sp, n_samples=1000, seed=0)
+        dual = hypercontractivity_sweep(mu, 2.0 * c_m, 0.0, 1.0, quadratic(), sp,
+                                        n_samples=1000, seed=0)
         assert dual.verdict == "certified-no-violation"
         # sensitivity: a constant 100x too small must be caught by every leg
         small = c_m / 100.0
@@ -222,7 +223,25 @@ def test_entropy_transport_dual_chain_coheres():
                 mu, small, quadratic(), sp, direction=direction, n_samples=1000, seed=0
             )
             assert te.verdict == "violated"
-        assert dual_sweep(mu, 2.0 * small, quadratic(), sp, n_samples=1000, seed=0).verdict == "violated"
+        assert hypercontractivity_sweep(mu, 2.0 * small, 0.0, 1.0, quadratic(), sp,
+                                        n_samples=1000, seed=0).verdict == "violated"
+
+
+@pytest.mark.parametrize("kind, n, C", [
+    ("hypercube", 2, 0.4097),   # half the entropy estimate 0.81943
+    ("cycle", 6, 0.6137),       # half the entropy estimate 1.22738
+    ("hypercube", 2, 0.65554),  # 0.8 x the estimate
+])
+def test_chain_norm_growth_legs_catch_small_constants(kind, n, C):
+    sp = build_example(kind, n)
+    rep = chain_report(sp, C=C, restarts=2, samples=300, seed=0)
+    for leg in (rep["dual"], *rep["hypercontractivity"]):
+        assert leg["verdict"] == "violated"
+        d = leg["details"]
+        out = hypercontractivity_check(uniform_measure(sp.n), rep["chain_constant"],
+                                       leg["witness"], d["rho"], d["t"], sp)
+        assert not out["holds"]
+    assert rep["coherent"] is False
 
 
 def test_norm_growth_nonnegative_exponents():

@@ -274,10 +274,12 @@ def test_chain_verify_with_mu_null_points(capsys):
     # every sampled nu charges a mu-null point: transport has no sample
     assert res["coherent"] is False
     assert res["transport"]["I"]["verdict"] == "inconclusive"
-    assert all(leg["violations"] == 0 for leg in res["hypercontractivity"])
-    # (rho, t) = (0, 1) is the dual leg, so norm growth has two legs
-    assert [(leg["rho"], leg["t"]) for leg in res["hypercontractivity"]] == [
-        (0.5, 1.0), (1.0, 0.5)]
+    # under a Dirac mu, Q_t f <= f makes every norm ratio at most 1
+    growth = [res["dual"], *res["hypercontractivity"]]
+    assert all(leg["verdict"] == "certified-no-violation" for leg in growth)
+    # (rho, t) = (0, 1) is the dual leg, so norm growth has two more legs
+    assert [(leg["details"]["rho"], leg["details"]["t"]) for leg in growth] == [
+        (0.0, 1.0), (0.5, 1.0), (1.0, 0.5)]
 
 
 def test_dirac_mu_has_no_estimated_entropy_constant(capsys):
@@ -302,14 +304,16 @@ def test_chain_verify_norm_growth_violation_carries_witness(capsys):
                             "--C", "0.1", "--samples", "20", "--restarts", "2")
     assert code == 2
     res = doc["result"]
-    legs = [leg for leg in res["hypercontractivity"] if leg["violations"]]
+    legs = [leg for leg in (res["dual"], *res["hypercontractivity"])
+            if leg["verdict"] == "violated"]
     assert legs
     space = build_example("two_point")
     for leg in legs:
+        details = leg["details"]
         out = hypercontractivity_check(uniform_measure(2), res["chain_constant"],
-                                       leg["witness"], leg["rho"], leg["t"], space)
+                                       leg["witness"], details["rho"], details["t"], space)
         assert not out["holds"]
-        assert out["margin"] == leg["min_margin"]
+        assert out["margin"] == -details["best_log_ratio"]
 
 
 def test_examples_two_point_report(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from weakhj import funcineq, transport
+from weakhj import funcineq
 from weakhj.calculus import lipschitz_seminorm
 from weakhj.cost import quadratic, quadratic_linear
 from weakhj.funcineq import (
@@ -17,6 +17,7 @@ from weakhj.funcineq import (
     entropy_exp,
     herbst_tail_check,
     hypercontractivity_check,
+    hypercontractivity_sweep,
     mlsi_verify,
     poincare_estimate,
     qlin_scaling_check,
@@ -30,7 +31,7 @@ from weakhj.space import (
     nearest_neighbor_kernel,
     uniform_measure,
 )
-from weakhj.transport import check_transport_entropy, dual_check, dual_sweep
+from weakhj.transport import check_transport_entropy, dual_check
 
 from randspaces import example_spaces
 
@@ -438,7 +439,7 @@ def test_herbst_tail_two_point():
 
 def test_sweeps_count_evaluated_samples(monkeypatch):
     # every third test function is constant, which the bridge and tail
-    # sweeps skip and the dual sweep evaluates; `iterations` counts the
+    # sweeps skip and the norm-growth sweep evaluates; `iterations` counts the
     # samples each sweep evaluated, not its draws
     seed_function = funcineq._seed_function
 
@@ -447,13 +448,13 @@ def test_sweeps_count_evaluated_samples(monkeypatch):
         return np.zeros_like(f) if k % 3 == 0 else f
 
     monkeypatch.setattr(funcineq, "_seed_function", draw)
-    monkeypatch.setattr(transport, "_seed_function", draw)
     sp = build_example("two_point")
     mu = uniform_measure(2)
     kernel = KernelMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert toto_bridge_check(mu, kernel, sp, samples=30).iterations == 20
     assert herbst_tail_check(mu, 1.0, sp, samples=30).iterations == 20
-    assert dual_sweep(mu, 1.0, quadratic(), sp, n_samples=30).iterations == 30
+    assert hypercontractivity_sweep(mu, 1.0, 0.0, 1.0, quadratic(), sp,
+                                    n_samples=30).iterations == 30
     # nu = mu has zero entropy and is skipped
     nus = itertools.cycle([mu, np.array([0.9, 0.1]), np.array([1.0, 0.0])])
     rep = check_transport_entropy(mu, 1.0, quadratic(), sp, n_samples=30,

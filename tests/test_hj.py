@@ -13,7 +13,7 @@ from weakhj.hj import (
     hj_residual,
     obstruction_search,
 )
-from weakhj.space import MetricSpace, build_example, validate_metric
+from weakhj.space import MetricSpace, build_example, build_from_graph, validate_metric
 
 TWO_POINT = build_example("two_point")
 
@@ -172,11 +172,11 @@ def test_boundary_excludes_steep_points():
     assert js["targets"][0] is None  # -inf target serializes as null
 
 
-def test_boundary_evaluates_only_the_ratios_it_reads(monkeypatch):
+@pytest.fixture
+def boundary_times(monkeypatch):
+    """The times at which hj_boundary evaluates Q~_t f, in call order."""
     import weakhj.hj as hj
 
-    f = np.array([0.7, -0.3, 0.2, 1.1, 0.4])
-    space, cost = build_example("path", 5), power(3)
     calls = []
 
     def counted(*args):
@@ -184,12 +184,52 @@ def test_boundary_evaluates_only_the_ratios_it_reads(monkeypatch):
         return weak_infconv(*args)
 
     monkeypatch.setattr(hj, "weak_infconv", counted)
+    return calls
+
+
+def test_boundary_evaluates_only_the_ratios_it_reads(boundary_times):
+    f = np.array([0.7, -0.3, 0.2, 1.1, 0.4])
+    space, cost = build_example("path", 5), power(3)
     rep = hj_boundary(f, cost, space)
     # t = d_min / (2 (alpha*)'(G)) with d_min = 1 and (alpha*)'(y) = y^(1/2)
     t = 1.0 / (2.0 * np.sqrt(np.max(tilde_gradient(f, space))))
-    assert calls == [t]
+    assert boundary_times == [t]
     np.testing.assert_array_equal(
         rep.limits, (weak_infconv(f, t, cost, space).values - f) / t)
+
+
+def test_boundary_rereads_flat_points_at_their_own_time(boundary_times):
+    # power:p=1.2 has alpha*(y) = y^6/6, so the steepest point's time falls
+    # as G^-5 and a flat point with large |f| lost its ratio to rounding
+    rng = np.random.default_rng(11)
+    cost = power(1.2)
+    failed = []
+    for _ in range(1800):
+        n = int(rng.integers(3, 13))
+        edges = [(int(rng.integers(0, j)), j, float(rng.uniform(0.3, 2.0)))
+                 for j in range(1, n)]
+        for _ in range(int(rng.integers(0, n))):
+            i, j = (int(v) for v in rng.integers(0, n, size=2))
+            if i != j:
+                edges.append((i, j, float(rng.uniform(0.3, 2.0))))
+        space = build_from_graph(n, edges)
+        f = rng.uniform(20.0, 40.0) * rng.standard_normal(n)
+        boundary_times.clear()
+        rep = hj_boundary(f, cost, space)
+        if not rep.holds:
+            failed.append((n, rep.max_error))
+        assert len(boundary_times) <= 9
+    assert failed == []
+
+
+@pytest.mark.parametrize("cost", [quadratic(), power(3), quadratic_linear(0.25, 2.0)])
+def test_boundary_reads_a_random_walk_once(boundary_times, cost):
+    # steps below 2ah = 1 keep |grad f| inside the qlin conjugate's domain;
+    # no point of a walk this flat needs a second read
+    rng = np.random.default_rng(3)
+    f = np.concatenate([[0.0], np.cumsum(rng.uniform(-0.45, 0.45, 31))])
+    rep = hj_boundary(f, cost, build_example("path", 32))
+    assert rep.holds and len(boundary_times) == 1
 
 
 @pytest.mark.parametrize("peak", [1e3, 1e4])
