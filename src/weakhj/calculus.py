@@ -28,14 +28,14 @@ _HULL_BLOCK = 1 << 18     # pairwise slopes per hull block: 2 MB per temporary
 def _gradient_argmax(f, space):
     """(|grad f|, ys): the nonlinear gradient and, per point x, the
     competitor y maximizing (f(x) - f(y)) / d(x, y); the first index wins
-    ties."""
+    ties.  ys is meaningful only where the gradient is positive: elsewhere
+    the zero diagonal slope may win."""
     f = np.asarray(f, dtype=float)
-    n = space.n
-    off = ~np.eye(n, dtype=bool)
-    slopes = np.where(off, (f[:, None] - f[None, :]) / np.where(off, space.dist, 1.0), -np.inf)
-    ys = np.argmax(slopes, axis=1)
-    g = np.maximum(slopes[np.arange(n), ys], 0.0) if n > 1 else np.zeros(n)
-    return g, ys
+    slopes = f[:, None] - f
+    with np.errstate(invalid="ignore"):     # the diagonal 0/0
+        np.divide(slopes, space.dist, out=slopes)
+    np.fill_diagonal(slopes, 0.0)
+    return slopes.max(1), slopes.argmax(1)
 
 
 def tilde_gradient(f, space):

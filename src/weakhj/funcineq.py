@@ -36,6 +36,7 @@ _E4 = math.exp(4.0)
 _RESTART_SCALES = (1e-4, 0.1, 1.0, 3.0, 10.0)
 _ITERATIONS = 500
 _STEP0 = 0.1
+_AMPLITUDES = np.logspace(-9.0, 2.0, 240)     # mlsi_verify's rescan of the best shape
 
 
 # ---------------------------------------------------------------------------
@@ -52,39 +53,56 @@ def variance(f, mu):
     return float(mu @ (f - m) ** 2)
 
 
-def _phi2(x):
-    # e^x - 1 - x without cancellation near 0
-    x = np.asarray(x, dtype=float)
+def _phi2(x, e1):
+    # e^x - 1 - x without cancellation near 0, given e1 = expm1(x): a
+    # series where |x| < 1e-3
+    out = e1 - x
     small = np.abs(x) < 1e-3
-    xs = np.where(small, x, 0.0)
-    series = 0.5 * xs * xs * (1.0 + xs / 3.0 + xs * xs / 12.0 + xs ** 3 / 60.0 + xs ** 4 / 360.0)
-    with np.errstate(over="ignore"):
-        direct = np.expm1(np.where(small, 0.0, x)) - np.where(small, 0.0, x)
-    return np.where(small, series, direct)
+    if small.any():
+        xs = x[small]
+        out[small] = 0.5 * xs * xs * (1.0 + xs / 3.0 + xs * xs / 12.0 + xs ** 3 / 60.0
+                                      + xs ** 4 / 360.0)
+    return out
 
 
-def _entropy_scaled(f, mu):
-    """(ref, value) with Ent_mu(e^f) = e^ref * value and value >= 0.
+def _entropy_scaled(F, mu):
+    """(ref, value) per row f of the stack F, with Ent_mu(e^f) = e^ref * value
+    and value >= 0.
 
-    For ranges below 1 the entropy is assembled from expm1/log1p pieces
-    that are individually sign-definite, so the relative error stays at
-    machine level even when the entropy itself is O(range^2).  Larger
-    ranges subtract the max before exponentiating (overflow guard).
+    Rows of range below 1 are assembled from expm1/log1p pieces that are
+    individually sign-definite, so the relative error stays at machine
+    level even when the entropy itself is O(range^2).  Wider rows subtract
+    their max before exponentiating (overflow guard).  A branch runs only
+    when some row needs it, and the per-row logs are math's, so a one-row
+    stack has the bits of the one-function formula.
     """
-    rng = float(np.max(f) - np.min(f))
-    if rng < 1.0:
-        ref = float(mu @ f)
-        delta = f - ref
-        e1 = np.expm1(delta)
-        t1 = float(mu @ (delta * e1))
-        t2 = float(mu @ _phi2(delta))
-        s = float(mu @ e1)
-        t3 = (1.0 + s) * math.log1p(s) - s
-        return ref, max(t1 - t2 - t3, 0.0)
-    ref = float(np.max(f))
-    w = np.exp(f - ref)
-    total = float(mu @ w)
-    return ref, max(float(mu @ (w * (f - ref))) - total * math.log(total), 0.0)
+    hi = F.max(1)
+    near = hi - F.min(1) < 1.0
+    if near.all():
+        return _entropy_near(F, mu)
+    value = np.empty(len(F))
+    if near.any():
+        hi[near], value[near] = _entropy_near(F[near], mu)
+    value[~near] = _entropy_wide(F[~near] - hi[~near, None], mu)
+    return hi, value
+
+
+def _entropy_near(F, mu):
+    # rows of range below 1, centred at their mean
+    mean = F @ mu
+    delta = F - mean[:, None]
+    e1 = np.expm1(delta)
+    s = e1 @ mu
+    t3 = np.array([(1.0 + v) * math.log1p(v) - v for v in s])
+    return mean, np.maximum((delta * e1) @ mu - _phi2(delta, e1) @ mu - t3, 0.0)
+
+
+def _entropy_wide(shifted, mu):
+    # rows shifted to max 0
+    w = np.exp(shifted)
+    total = w @ mu
+    logs = np.array([math.log(v) for v in total])
+    return np.maximum((w * shifted) @ mu - total * logs, 0.0)
 
 
 def entropy_exp(f, mu):
@@ -100,8 +118,8 @@ def entropy_exp(f, mu):
     f, mu = np.asarray(f, dtype=float)[supp], mu[supp]
     if np.ptp(f) == 0:
         return 0.0
-    ref, value = _entropy_scaled(f, mu)
-    return math.exp(ref) * value
+    ref, value = _entropy_scaled(f[None], mu)
+    return math.exp(ref[0]) * float(value[0])
 
 
 def _log_lp_norm_exp(f, mu, q):
@@ -203,16 +221,17 @@ def _seed_function(rng, space, k):
 
 def _ascend(value_and_grad, f0, iterations, range_target):
     # range_target pins the amplitude so the ascent optimizes shape only;
-    # the caller rescans amplitudes along the best shape afterwards
+    # the caller rescans amplitudes along the best shape afterwards.  The
+    # last value is the number of gradients evaluated: the ascent stops at
+    # a vanishing or non-finite one
     f = np.array(f0, dtype=float)
     best_r = -np.inf
-    best_f = f.copy()
+    best_f = f
     for it in range(1, iterations + 1):
         r, gr = value_and_grad(f)
         if r > best_r:
-            best_r = r
-            best_f = f.copy()
-        norm = float(np.linalg.norm(gr))
+            best_r, best_f = r, f
+        norm = math.sqrt(float(gr @ gr))
         if not math.isfinite(norm) or norm < 1e-15:
             break
         f = f + (_STEP0 / math.sqrt(it)) * gr / norm
@@ -220,26 +239,30 @@ def _ascend(value_and_grad, f0, iterations, range_target):
             lo, hi = float(f.min()), float(f.max())
             if hi > lo:
                 f = range_target * (f - lo) / (hi - lo)
-    return best_r, best_f
+    return best_r, best_f, it
 
 
-def _run_restarts(value_and_grad, space, restarts, seed, scale_scan):
-    # each restart ascends at the amplitude of its seed function
-    best_r = -np.inf
-    best_f = None
+def _run_restarts(value_and_grad, space, restarts, seed, rescan=None):
+    # each restart ascends at the amplitude of its seed function; `rescan`
+    # maps the unit-range best shape to its ratios at the _AMPLITUDES, and
+    # the first of the largest replaces the best ratio if it is larger.
+    # Returns (ratio, witness, gradients evaluated, index of the winning
+    # restart or None)
+    best_r, best_f, best_k, steps = -np.inf, None, None, 0
     for k, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
         rng = np.random.default_rng(child)
         f0 = _seed_function(rng, space, k)
-        r, fb = _ascend(value_and_grad, f0, _ITERATIONS, float(np.ptp(f0)) or None)
+        r, fb, taken = _ascend(value_and_grad, f0, _ITERATIONS, float(np.ptp(f0)) or None)
+        steps += taken
         if r > best_r:
-            best_r, best_f = r, fb
-    if scale_scan and best_f is not None and np.ptp(best_f) > 0:
+            best_r, best_f, best_k = r, fb, k
+    if rescan is not None and best_f is not None and np.ptp(best_f) > 0:
         unit = (best_f - best_f.min()) / np.ptp(best_f)
-        for s in np.logspace(-9.0, 2.0, 240):
-            r = value_and_grad(s * unit)[0]
-            if r > best_r:
-                best_r, best_f = r, s * unit
-    return best_r, best_f
+        ratios = rescan(unit)
+        j = int(np.argmax(ratios))
+        if ratios[j] > best_r:
+            best_r, best_f = float(ratios[j]), _AMPLITUDES[j] * unit
+    return best_r, best_f, steps, best_k
 
 
 def _poincare_value_and_grad(mu, space):
@@ -250,49 +273,64 @@ def _poincare_value_and_grad(mu, space):
         energy = float(mu @ g ** 2)
         if energy <= 1e-300:
             return -np.inf, -f
-        ratio = variance(f, mu) / energy
-        mean = float(mu @ f)
-        grad = 2.0 * mu * (f - mean)
+        centered = f - float(mu @ f)
+        ratio = float(mu @ centered ** 2) / energy
+        grad = 2.0 * mu * centered
         active = np.flatnonzero(g > 0)
         coef = 2.0 * ratio * mu[active] * g[active] / d[active, ys[active]]
-        np.subtract.at(grad, active, coef)
+        grad[active] -= coef
         np.add.at(grad, ys[active], coef)
         return ratio, grad
 
     return vg
 
 
+def _mlsi_ratio(F, G, mu, cost):
+    # (ref, w, conj, ratio) per row f of the stack F with gradient rows G:
+    # Ent_mu(e^f) / int conj(|grad f|) e^f dmu, w = e^(f - ref).  The ratio
+    # is -inf where the conjugate is infinite (that row's conj is zeroed)
+    # or the denominator vanishes
+    conj = cost.conjugate(G)
+    conj[~np.isfinite(conj).all(1)] = 0.0
+    ref, numer = _entropy_scaled(F, mu)
+    w = np.exp(F - ref[:, None])
+    denom = (conj * w) @ mu
+    ratio = np.divide(numer, denom, out=np.full(len(F), -np.inf), where=denom > 1e-300)
+    return ref, w, conj, ratio
+
+
 def _mlsi_value_and_grad(mu, cost, sign, space):
     d = space.dist
 
     def vg(f):
-        if np.ptp(f) == 0:
+        if f.max() == f.min():
             return -np.inf, f
         g, ys = _gradient_argmax(sign * f, space)
-        conj = cost.conjugate(g)
-        if not np.all(np.isfinite(conj)):
-            return -np.inf, -f
-        ref, numer = _entropy_scaled(f, mu)
-        w = np.exp(f - ref)
-        denom = float(mu @ (conj * w))
-        if denom <= 1e-300:
-            return -np.inf, -f
-        ratio = numer / denom
-        grad_n = mu * w * (f - ref - math.log(float(mu @ w)))
+        ref, w, conj, ratio = _mlsi_ratio(f[None], g[None], mu, cost)
+        ratio = float(ratio[0])
+        if ratio == -np.inf:
+            return ratio, -f
+        ref, w, conj = float(ref[0]), w[0], conj[0]
+        mw = mu * w
+        grad_n = mw * (f - ref - math.log(float(mu @ w)))
         grad_d = mu * conj * w
         active = np.flatnonzero(g > 0)
-        coef = (
-            sign
-            * mu[active]
-            * w[active]
-            * cost.conjugate_deriv(g[active])
-            / d[active, ys[active]]
-        )
-        np.add.at(grad_d, active, coef)
+        coef = sign * mw[active] * cost.conjugate_deriv(g[active]) / d[active, ys[active]]
+        grad_d[active] += coef
         np.subtract.at(grad_d, ys[active], coef)
         return ratio, grad_n - ratio * grad_d
 
     return vg
+
+
+def _mlsi_rescan(mu, cost, sign, space):
+    # the ratio of vg at every s * unit, s in _AMPLITUDES, from one gradient:
+    # |grad (s u)| = s |grad u|
+    def ratios(unit):
+        g = _gradient_argmax(sign * unit, space)[0]
+        return _mlsi_ratio(_AMPLITUDES[:, None] * unit, _AMPLITUDES[:, None] * g, mu, cost)[3]
+
+    return ratios
 
 
 # ---------------------------------------------------------------------------
@@ -304,20 +342,22 @@ def poincare_estimate(mu, space, restarts=64, seed=0):
 
     The ratio is scale and shift invariant, so each restart's iterates
     keep the range of its seed function.  The report tests the ratio
-    against the diameter bound D^2/2.
+    against the diameter bound D^2/2.  `iterations` counts the gradients
+    the ascents evaluated (at most 500 a restart) and `details.best_restart`
+    is the index of the restart that found the witness.
     """
     restarts = as_count(restarts, "restarts")
     mu = as_measure(mu, space.n)
     diameter = space.diameter
     bound = 0.5 * diameter * diameter
-    ratio, witness, iterations = 0.0, None, 0
+    ratio, witness, iterations, best_k = 0.0, None, 0, None
     if np.count_nonzero(mu) > 1:
-        ratio, witness = _run_restarts(
-            _poincare_value_and_grad(mu, space), space, restarts, seed, False
-        )
-        ratio, iterations = max(ratio, 0.0), restarts * _ITERATIONS
+        ratio, witness, iterations, best_k = _run_restarts(
+            _poincare_value_and_grad(mu, space), space, restarts, seed)
+        ratio = max(ratio, 0.0)
     return InequalityReport("poincare", bound, ratio, witness, verdict(ratio, bound),
-                            restarts, iterations, seed, {"diameter": diameter})
+                            restarts, iterations, seed,
+                            {"diameter": diameter, "best_restart": best_k})
 
 
 def mlsi_verify(mu, C, cost, type="I", space=None, restarts=64, seed=0):
@@ -326,6 +366,8 @@ def mlsi_verify(mu, C, cost, type="I", space=None, restarts=64, seed=0):
     Type I uses the gradient of f, type II the gradient of -f.  The
     ratio is not scale invariant, so the best function found is also
     rescanned at 240 amplitudes from 1e-9 to 1e2 of its unit-range shape.
+    `iterations` and `details.best_restart` are as in poincare_estimate;
+    the rescan is not counted, and keeps the restart of its shape.
     """
     C = as_positive(C, "mlsi constant")
     restarts = as_count(restarts, "restarts")
@@ -333,20 +375,21 @@ def mlsi_verify(mu, C, cost, type="I", space=None, restarts=64, seed=0):
         raise ValueError(f"mlsi type must be 'I' or 'II', got {type!r}")
     mu = as_measure(mu, space.n)
     sign = 1.0 if type == "I" else -1.0
-    ratio, witness = _run_restarts(
-        _mlsi_value_and_grad(mu, cost, sign, space), space, restarts, seed, True
-    )
+    ratio, witness, iterations, best_k = _run_restarts(
+        _mlsi_value_and_grad(mu, cost, sign, space), space, restarts, seed,
+        _mlsi_rescan(mu, cost, sign, space))
     ratio = max(ratio, 0.0)
+    won = ratio > 0
     return InequalityReport(
         "mlsi-" + type,
         float(C),
         ratio,
-        witness if ratio > 0 else None,
+        witness if won else None,
         verdict(ratio, C),
         restarts,
-        restarts * _ITERATIONS,
+        iterations,
         seed,
-        {"cost": cost.label()},
+        {"cost": cost.label(), "best_restart": best_k if won else None},
     )
 
 

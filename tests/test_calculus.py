@@ -11,6 +11,7 @@ import pytest
 from randspaces import example_spaces, random_connected_space
 from weakhj.calculus import (
     ARGMIN_TOL,
+    _gradient_argmax,
     _segment_argmin,
     classical_infconv,
     convex_envelope,
@@ -59,6 +60,31 @@ def test_gradient_zero_at_minima():
         g = tilde_gradient(f, sp)
         assert g[int(np.argmin(f))] == 0.0
         assert np.all(g >= 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_gradient_argmax_matches_brute_force():
+    # g(x) = max(0, max_{y != x} (f(x) - f(y)) / d(x, y)) bit for bit, and
+    # wherever g > 0, ys[x] is the first maximiser; the 0/0 on the
+    # diagonal raises no warning
+    rng = np.random.default_rng(11)
+    spaces = example_spaces() + [random_connected_space(rng) for _ in range(20)]
+    spaces.append(MetricSpace(np.zeros((1, 1))))
+    cases = []
+    for sp in spaces:
+        cases += [(sp, rng.normal(size=sp.n)), (sp, np.full(sp.n, 2.5)),
+                  (sp, rng.integers(0, 3, sp.n).astype(float))]   # tied slopes
+    hypercube = build_example("hypercube", 3)
+    cases.append((hypercube, hypercube.dist[0].copy()))           # Hamming weight
+    for sp, f in cases:
+        g, ys = _gradient_argmax(f, sp)
+        for x in range(sp.n):
+            slopes = [(f[x] - f[y]) / sp.dist[x, y] for y in range(sp.n) if y != x]
+            best = max(slopes, default=0.0)
+            assert g[x] == max(best, 0.0)
+            if g[x] > 0:
+                assert ys[x] == next(y for y in range(sp.n)
+                                     if y != x and (f[x] - f[y]) / sp.dist[x, y] == best)
 
 
 def test_lipschitz_seminorm():

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from weakhj import funcineq
 from weakhj.calculus import lipschitz_seminorm
-from weakhj.cost import quadratic, quadratic_linear
+from weakhj.cost import power, quadratic, quadratic_linear
 from weakhj.funcineq import (
     appendix_checks,
     bobkov_ledoux_K,
@@ -485,3 +485,133 @@ def test_estimators_are_reproducible():
     b = poincare_estimate(mu, sp, restarts=16, seed=5)
     assert a.best_ratio == b.best_ratio
     assert np.array_equal(a.witness, b.witness)
+
+
+def _null_point_measure(n):
+    mu = np.zeros(n)
+    mu[1:] = 1.0 / (n - 1)
+    return mu
+
+
+@pytest.mark.parametrize("cost", [quadratic(), power(3.0), quadratic_linear(0.25, 2.0)],
+                         ids=lambda c: c.label())
+def test_stacked_rescan_matches_per_function_ratios(cost):
+    # the rescan reads one gradient of the unit shape; each of its 240
+    # ratios must be the value-and-gradient ratio at that amplitude, with
+    # the same finiteness: -inf where the denominator vanishes (a null
+    # point) and, for qlin, where the conjugate is infinite (slope past 1)
+    rng = np.random.default_rng(4)
+    past_slope_bound = 0
+    for sp in example_spaces():
+        for mu in (uniform_measure(sp.n), _null_point_measure(sp.n)):
+            for sign in (1.0, -1.0):
+                vg = funcineq._mlsi_value_and_grad(mu, cost, sign, sp)
+                rescan = funcineq._mlsi_rescan(mu, cost, sign, sp)
+                for k in range(3):
+                    f = funcineq._seed_function(rng, sp, k)
+                    if np.ptp(f) == 0:
+                        continue
+                    unit = (f - f.min()) / np.ptp(f)
+                    stacked = rescan(unit)
+                    single = np.array([vg(s * unit)[0] for s in funcineq._AMPLITUDES])
+                    finite = np.isfinite(single)
+                    steep = funcineq._AMPLITUDES * lipschitz_seminorm(unit, sp) > 1.0
+                    if cost.kind == "qlin":
+                        past_slope_bound += int(steep.sum())
+                        assert not finite[steep].any()
+                    assert np.array_equal(np.isfinite(stacked), finite)
+                    assert np.all(stacked[~finite] == -np.inf)
+                    assert_allclose(stacked[finite], single[finite], rtol=1e-12, atol=0)
+                    assert np.argmax(stacked) == np.argmax(single)
+    assert past_slope_bound > 0 or cost.kind != "qlin"
+
+
+# the search's best ratio and witness at restarts 4 and seed 0 (uniform mu,
+# quadratic cost, C = 1 for mlsi), recorded before the inner loop was made
+# lean: a speed-up must not move the search
+PINNED = {
+    ("hypercube", 2, "poincare"): (0.8201910387123691,
+        [0.10559671731352188, 0.0, 0.4790283555190882, 0.10559671736491809]),
+    ("hypercube", 2, "I"): (0.8123397498200385,
+        [2.7948769977985273e-10, 0.0, 1e-09, 2.794877945795269e-10]),
+    ("hypercube", 2, "II"): (4.639938662104941e+39, [100.0, 100.0, 0.0, 100.0]),
+    ("cycle", 6, "poincare"): (1.228686841894405,
+        [0.0, 0.07564242654958259, 0.24090396858805893, 0.4790283555190882,
+         0.24090506267515258, 0.07570092708661812]),
+    ("cycle", 6, "I"): (1.2206673501439618,
+        [0.0, 1.85228444614684e-10, 5.379906358762267e-10, 1e-09,
+         5.412035044195071e-10, 1.8212262440584994e-10]),
+    ("cycle", 6, "II"): (382.96472190023957,
+        [2.0185633550651487, 13.293333613649597, 13.351283339486878, 0.0,
+         13.349954937764313, 13.291143915814592]),
+    ("path", 5, "poincare"): (2.5414100622096023,
+        [3.0000000000000004, 2.1860600976022213, 1.3728575462029629,
+         0.5619921003704155, 0.0]),
+    ("path", 5, "I"): (2.533109715300849,
+        [0.0, 2.047516158256544e-10, 4.683090873051781e-10, 7.320528387794101e-10, 1e-09]),
+    ("path", 5, "II"): (45.36555459998518,
+        [8.738212344285607, 8.738212344285607, 8.48832777357466, 0.0,
+         0.07496537121328414]),
+}
+
+
+@pytest.mark.parametrize("kind, n, estimator", sorted(PINNED))
+def test_estimators_reproduce_pinned_search(kind, n, estimator):
+    sp = build_example(kind, n)
+    mu = uniform_measure(sp.n)
+    if estimator == "poincare":
+        rep = poincare_estimate(mu, sp, restarts=4, seed=0)
+    else:
+        rep = mlsi_verify(mu, 1.0, quadratic(), estimator, sp, restarts=4, seed=0)
+    ratio, witness = PINNED[kind, n, estimator]
+    assert_allclose(rep.best_ratio, ratio, rtol=1e-12, atol=0)
+    assert_allclose(rep.witness, witness, rtol=1e-12, atol=0)
+
+
+def test_estimators_report_steps_taken_and_winning_restart(monkeypatch):
+    # `iterations` is the number of value-and-gradient evaluations of the
+    # ascents (the rescan makes none), and rerunning with best_restart + 1
+    # restarts replays the winning restart
+    calls = []
+
+    def counting(factory):
+        def make(*args):
+            vg = factory(*args)
+            return lambda f: calls.append(1) or vg(f)
+        return make
+
+    for name in ("_poincare_value_and_grad", "_mlsi_value_and_grad"):
+        monkeypatch.setattr(funcineq, name, counting(getattr(funcineq, name)))
+    sp = build_example("cycle", 6)
+    dirac = np.eye(6)[2]
+    early = 0
+    for mu in (uniform_measure(6), _null_point_measure(6), dirac):
+        for run in (lambda r: poincare_estimate(mu, sp, restarts=r, seed=2),
+                    lambda r: mlsi_verify(mu, 1.0, quadratic(), "I", sp, restarts=r, seed=2)):
+            calls.clear()
+            rep = run(6)
+            assert rep.iterations == len(calls) <= 6 * funcineq._ITERATIONS
+            early += rep.iterations < 6 * funcineq._ITERATIONS
+            best = rep.details["best_restart"]
+            if rep.witness is None:
+                assert best is None
+                continue
+            replay = run(best + 1)
+            assert replay.details["best_restart"] == best
+            assert replay.best_ratio == rep.best_ratio
+            assert np.array_equal(replay.witness, rep.witness)
+    assert early > 0
+
+
+def test_rescan_takes_first_maximum_only_above_the_ascent():
+    sp = build_example("cycle", 6)
+    vg = funcineq._poincare_value_and_grad(uniform_measure(6), sp)
+    ascent, shape, _, _ = funcineq._run_restarts(vg, sp, 2, 0)
+    unit = (shape - shape.min()) / np.ptp(shape)
+    tied = np.full(240, -np.inf)
+    tied[[7, 30, 200]] = ascent + 1.0
+    ratio, witness, _, _ = funcineq._run_restarts(vg, sp, 2, 0, lambda u: tied)
+    assert ratio == ascent + 1.0
+    assert np.array_equal(witness, funcineq._AMPLITUDES[7] * unit)
+    tied[[7, 30, 200]] = ascent
+    assert np.array_equal(funcineq._run_restarts(vg, sp, 2, 0, lambda u: tied)[1], shape)
