@@ -43,6 +43,7 @@ from .hj import (
     ResidualReport,
     hj_boundary,
     hj_residual,
+    hj_residuals,
     obstruction_search,
 )
 from .space import (
@@ -77,7 +78,8 @@ __all__ = [
     "time_derivative", "tilde_gradient", "lipschitz_seminorm", "envelope",
     "gradient_envelope_identity",
     "ResidualReport", "BoundaryReport", "ObstructionWitness",
-    "ObstructionResult", "hj_residual", "hj_boundary", "obstruction_search",
+    "ObstructionResult", "hj_residual", "hj_residuals", "hj_boundary",
+    "obstruction_search",
     "Coupling", "TransportResult", "weak_transport_cost",
     "classical_transport_cost", "transport_oracle_small", "relative_entropy",
     "check_transport_entropy", "dual_check",

@@ -22,7 +22,7 @@ from .space import as_function, as_positive
 
 ARGMIN_TOL = 1e-9
 _FLAT_TOL = 1e-12
-_HULL_BLOCK = 1 << 18     # pairwise slopes per hull block: 2 MB per temporary
+_HULL_BLOCK = 1 << 18     # entries per hull or time block: 2 MB per temporary
 
 
 def _gradient_argmax(f, space):
@@ -167,7 +167,7 @@ def _padded(offsets):
     """Lay flat profiles (offsets[x]:offsets[x+1]) out as matrix rows:
     the index matrix, each row padded with its last index, and the mask
     of real entries."""
-    m = np.diff(offsets)
+    m = offsets[1:] - offsets[:-1]
     k = np.arange(m.max())
     return offsets[:-1, None] + np.minimum(k, m[:, None] - 1), k < m[:, None]
 
@@ -187,13 +187,13 @@ def _hull_vertices(U, V, offsets):
     edge = np.full((len(pv), 1), np.inf)
     prefix = np.minimum.accumulate(pv, axis=1)
     suffix = np.minimum.accumulate(pv[:, ::-1], axis=1)[:, ::-1]
-    record = real & ((pv < np.hstack([edge, prefix[:, :-1]]))
-                     | (pv < np.hstack([suffix[:, 1:], edge])))
+    record = real & ((pv < np.concatenate((edge, prefix[:, :-1]), axis=1))
+                     | (pv < np.concatenate((suffix[:, 1:], edge), axis=1)))
     cand = pad[record]
     pad, real = _padded(np.concatenate([[0], np.cumsum(record.sum(axis=1))]))
     pu, pv = U[cand][pad], V[cand][pad]
     size = pad.shape[1]
-    upper = np.triu(np.ones((size, size), dtype=bool), 1)
+    upper = np.arange(size)[:, None] < np.arange(size)
     vertex = np.empty(pad.shape, dtype=bool)
     step = max(1, _HULL_BLOCK // (size * size))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -250,6 +250,51 @@ class WeakInfConv:
         return out
 
 
+def _infconv_times(f, ts, cost, space):
+    """Q~_t f at every time of ts in one stacked pass.
+
+    Returns ((U, V), hull, values, u_min, u_max, u_star): the distance
+    profiles and their hull vertices, which depend on f alone, then the
+    rows of weak_infconv at each time, each of shape (T, n).  f must be a
+    finite function on the space and ts a 1-D float array of positive
+    times; the callers check both.  Segment minimisation runs over blocks
+    of times of at most _HULL_BLOCK (time, segment) entries, so no
+    (T, n, n) array is formed."""
+    n = space.n
+    order, starts = space.distance_groups
+    rows = starts // n
+    U = space.dist[rows, order.ravel()[starts]]
+    V = np.minimum.reduceat(f[order].ravel(), starts)
+    hull = _hull_vertices(U, V, np.searchsorted(rows, np.arange(n + 1)))
+    out = np.zeros((4, len(ts), n))
+    if n == 1:
+        out[0] = V
+        return ((U, V), hull, *out)
+    # segments join consecutive hull vertices of one point
+    hrow = rows[hull]
+    same = hrow[1:] == hrow[:-1]
+    a, b = hull[:-1][same], hull[1:][same]
+    seg_row = hrow[:-1][same]
+    ends = U[a], V[a], U[b], V[b]
+    first = np.searchsorted(seg_row, np.arange(n))
+    step = max(1, _HULL_BLOCK // len(seg_row))
+    for r in range(0, len(ts), step):
+        lo, hi, val = _segment_argmin(*ends, ts[r:r + step, None], cost)
+        best = np.minimum.reduceat(val, first, axis=1)
+        keep = val <= (best + ARGMIN_TOL * (1.0 + np.abs(best))).take(seg_row, axis=1)
+        # beta(u/t) is constant on the true argmin set, but a segment within
+        # ARGMIN_TOL of the best can stretch [u_min, u_max] past it.  u_star
+        # is lo on the first segment attaining the best: the least such lo,
+        # since lo rises along the segments of a point
+        hit = val == best.take(seg_row, axis=1)
+        block = out[:, r:r + step]
+        block[0] = best
+        block[1] = np.minimum.reduceat(np.where(keep, lo, np.inf), first, axis=1)
+        block[2] = np.maximum.reduceat(np.where(keep, hi, -np.inf), first, axis=1)
+        block[3] = np.minimum.reduceat(np.where(hit, lo, np.inf), first, axis=1)
+    return ((U, V), hull, *out)
+
+
 def weak_infconv(f, t, cost, space):
     """Weak inf-convolution: per point, the minimum over probability
     measures p of integral(f dp) + t alpha(mean distance / t).  Returns
@@ -257,34 +302,12 @@ def weak_infconv(f, t, cost, space):
 
     All points are processed together: the sphere minima of f come from
     the space's cached row orders, then every lower convex envelope and
-    every segment minimizer is computed at once."""
+    every segment minimizer is computed at once.  This is the one-time
+    case of the stacked evaluation `_infconv_times`."""
     t = as_positive(t, "t")
     f = as_function(f, space.n).copy()  # the lazy envelopes read it later
-    n = space.n
-    order, starts = space.distance_groups
-    rows = starts // n
-    U = space.dist[rows, order.ravel()[starts]]
-    V = np.minimum.reduceat(f[order].ravel(), starts)
-    hull = _hull_vertices(U, V, np.searchsorted(rows, np.arange(n + 1)))
-    if n == 1:
-        return WeakInfConv(V.copy(), np.zeros(1), np.zeros(1), np.zeros(1),
-                           f, space, (U, V), hull)
-    # segments join consecutive hull vertices of one point
-    hrow = rows[hull]
-    same = hrow[1:] == hrow[:-1]
-    a, b = hull[:-1][same], hull[1:][same]
-    seg_row = hrow[:-1][same]
-    lo, hi, val = _segment_argmin(U[a], V[a], U[b], V[b], t, cost)
-    first = np.searchsorted(seg_row, np.arange(n))
-    best = np.minimum.reduceat(val, first)
-    keep = val <= (best + ARGMIN_TOL * (1.0 + np.abs(best)))[seg_row]
-    u_min = np.minimum.reduceat(np.where(keep, lo, np.inf), first)
-    u_max = np.maximum.reduceat(np.where(keep, hi, -np.inf), first)
-    # beta(u/t) is constant on the true argmin set, but a segment within
-    # ARGMIN_TOL of the best can stretch [u_min, u_max] past it
-    at_best = np.flatnonzero(val == best[seg_row])
-    u_star = lo[at_best[np.searchsorted(at_best, first)]]
-    return WeakInfConv(best, u_min, u_max, u_star, f, space, (U, V), hull)
+    profile, hull, *rows = _infconv_times(f, np.array([t]), cost, space)
+    return WeakInfConv(*(r[0] for r in rows), f, space, profile, hull)
 
 
 def weak_infconv_bruteforce(f, t, cost, space):

@@ -32,7 +32,7 @@ from .calculus import (
     weak_infconv_bruteforce,
 )
 from .cost import parse_cost_spec
-from .hj import hj_boundary, hj_residual, obstruction_search
+from .hj import hj_boundary, hj_residuals, obstruction_search
 from .reports import (
     chain_report,
     constants_report,
@@ -236,7 +236,7 @@ def _cmd_hj_verify(args, inputs):
     f = _load_vector_arg(args.f, "f", inputs)
     cost = _parse_cost(args.cost)
     grid = _parse_grid(args.t_grid)
-    slices = [hj_residual(f, t, cost, space) for t in grid]
+    slices = hj_residuals(f, grid, cost, space)
     payload = {"cost": cost.label(),
                "slices": [s.to_json_dict() for s in slices]}
     holds = all(s.holds for s in slices)

@@ -1,10 +1,12 @@
 """Hamilton-Jacobi verification for the weak inf-convolution semigroup.
 
-Three pieces.  `hj_residual` evaluates, per point, the subsolution
-residual d/dt Q~_t f + alpha*(|grad Q~_t f|) from the exact derivative
-formula and certifies that it is non-positive (a `ResidualReport`).
-`hj_boundary` reads the small-time limit of (Q~_t f - f)/t at times
-small enough for the ratio to equal it, and matches it against
+Three pieces.  `hj_residuals` evaluates, per point and per time of a
+grid, the subsolution residual d/dt Q~_t f + alpha*(|grad Q~_t f|) from
+the exact derivative formula and certifies that it is non-positive (one
+`ResidualReport` per time, from one stacked evaluation of Q~_t f over
+the grid); `hj_residual` is its one-time case.  `hj_boundary` reads the
+small-time limit of (Q~_t f - f)/t at times small enough for the ratio
+to equal it, all from one stacked evaluation, and matches it against
 -alpha*(|grad f|) (a `BoundaryReport`).  `obstruction_search` looks for
 a quadruple (f, x, s, t) breaking the semigroup law of the classical point-mass
 evolution Q_t f(x) = min_y f(y) + D_t(x, y), starting from the
@@ -19,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .calculus import tilde_gradient, time_derivative, weak_infconv
+from .calculus import _infconv_times, tilde_gradient
 from .cost import quadratic
 from .space import as_count, as_function, as_positive, jsonable
 
@@ -67,39 +69,52 @@ class BoundaryReport:
         return jsonable(asdict(self))
 
 
-def hj_residual(f, t, cost, space):
-    """Subsolution residual r(x, t) = d/dt Q~_t f(x) + alpha*(|grad Q~_t f|(x)).
+def hj_residuals(f, ts, cost, space):
+    """Subsolution residuals r(x, t) = d/dt Q~_t f(x) + alpha*(|grad Q~_t f|(x)),
+    one `ResidualReport` per time of ts, in order.
 
-    The derivative term comes from the analytic formula -beta(u/t) on the
-    argmin interval, never from finite differences.  `holds` requires
-    r <= 1e-9 at every point.  A +inf conjugate value (quadratic-linear
-    cost with too steep a smoothed gradient) is a hard violation of the
+    Q~_t f is evaluated at every time in one stacked pass.  The derivative
+    term comes from the analytic formula -beta(u/t) on the argmin
+    interval, never from finite differences.  `holds` requires r <= 1e-9
+    at every point.  A +inf conjugate value (quadratic-linear cost with
+    too steep a smoothed gradient) is a hard violation of the
     finite-domain premise: the point is listed in `conjugate_infinite`
-    and the verdict is False.
+    and the verdict is False.  ValueError unless ts is non-empty with
+    every time finite and > 0.
     """
-    t = as_positive(t, "t")
+    ts = np.array([as_positive(t, "t") for t in ts])
+    if not ts.size:
+        raise ValueError("ts must contain positive times")
     f = as_function(f, space.n)
-    res = weak_infconv(f, t, cost, space)
-    dq = time_derivative(f, t, cost, space, result=res)
-    g = tilde_gradient(res.values, space)
+    _, _, values, _, _, u_star = _infconv_times(f, ts, cost, space)
+    dq = -cost.beta(u_star / ts[:, None])
+    g = np.array([tilde_gradient(q, space) for q in values])
     bound = cost.conjugate_domain_bound()
     if math.isfinite(bound):
         # smoothing caps slopes at the saturation value, but the quotient
         # of smoothed values drifts O(eps) past it; land those back on it
         near = g <= bound * (1.0 + 1e-12)
         g = np.where(near, np.minimum(g, bound), g)
-    conj = np.atleast_1d(np.asarray(cost.conjugate(g), dtype=float))
+    conj = np.asarray(cost.conjugate(g), dtype=float)
     residuals = dq + conj
-    infinite = tuple(int(i) for i in np.flatnonzero(~np.isfinite(conj)))
-    holds = not infinite and bool(np.all(residuals <= RESIDUAL_TOL))
-    return ResidualReport(
-        cost=cost.label(),
-        holds=holds,
-        t=float(t),
-        residuals=residuals,
-        max_residual=float(np.max(residuals)),
-        conjugate_infinite=infinite,
-    )
+    label = cost.label()
+    reports = []
+    for t, r, c in zip(ts.tolist(), residuals, conj):
+        infinite = tuple(np.flatnonzero(~np.isfinite(c)).tolist())
+        reports.append(ResidualReport(
+            cost=label,
+            holds=not infinite and bool(np.all(r <= RESIDUAL_TOL)),
+            t=t,
+            residuals=r,
+            max_residual=float(np.max(r)),
+            conjugate_infinite=infinite,
+        ))
+    return reports
+
+
+def hj_residual(f, t, cost, space):
+    """The residual report of one time: `hj_residuals` at (t,)."""
+    return hj_residuals(f, (t,), cost, space)[0]
 
 
 def hj_boundary(f, cost, space):
@@ -113,8 +128,9 @@ def hj_boundary(f, cost, space):
     points (at d_min when G = 0).  A point whose ratio could lose a
     thousandth of its tolerance to rounding there, a flat point with
     large |f|, is read again at its own time when that is longer: the
-    largest power of two at most d_min and half its own bound, with one
-    evaluation of Q~_t f per distinct time.  A point verifies when its error is at most 1e-6 (1 + |target|), since
+    largest power of two at most d_min and half its own bound; every
+    time is read from one stacked evaluation of Q~_t f.  A point
+    verifies when its error is at most 1e-6 (1 + |target|), since
     the rounding of the ratio grows with the target; `max_error` is the
     largest absolute error.  Points with |grad f|(x) >= l, where l bounds
     the conjugate domain, are excluded from the verdict and listed.
@@ -126,21 +142,25 @@ def hj_boundary(f, cost, space):
     excluded = tuple(int(i) for i in np.flatnonzero(~mask))
     steepest = float(g[mask].max(initial=0.0))
     d_min = _smallest_distance(space)
-    t = d_min / (2.0 * cost.conjugate_deriv(steepest)) if steepest > 0 else d_min
-    limits = (weak_infconv(f, t, cost, space).values - f) / t
+    t = as_positive(d_min / (2.0 * cost.conjugate_deriv(steepest))
+                    if steepest > 0 else d_min, "t")
     targets = -np.atleast_1d(np.asarray(cost.conjugate(g), dtype=float))
 
     # rounding costs the ratio about eps (1 + |f(x)|) / t; powers of two
     # let points share a time
     loose = mask & (4.0 * _EPS * (1.0 + np.abs(f)) / t
                     > 1e-3 * BOUNDARY_TOL * (1.0 + np.abs(targets)))
+    ts = [t]
     if loose.any():
         with np.errstate(divide="ignore"):
             own = 2.0 ** np.floor(np.log2(np.minimum(
                 d_min, d_min / (2.0 * cost.conjugate_deriv(g[loose])))))
-        for s in np.unique(own[own > t]):
-            at = np.flatnonzero(loose)[own == s]
-            limits[at] = (weak_infconv(f, s, cost, space).values[at] - f[at]) / s
+        ts += np.unique(own[own > t]).tolist()
+    values = _infconv_times(f, np.array(ts), cost, space)[2]
+    limits = (values[0] - f) / t
+    for s, q in zip(ts[1:], values[1:]):
+        at = np.flatnonzero(loose)[own == s]
+        limits[at] = (q[at] - f[at]) / s
 
     errors = np.abs(limits - targets)
     ok = errors[mask] <= BOUNDARY_TOL * (1.0 + np.abs(targets[mask]))

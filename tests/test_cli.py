@@ -10,7 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from weakhj.cli import _build_parser, run
+from weakhj.cli import _build_parser, _parse_grid, run
+from weakhj.cost import parse_cost_spec
+from weakhj.hj import hj_residual
+from weakhj.space import build_example
 
 MANIFEST_KEYS = {"command", "inputs", "seed", "version", "wall_time_s"}
 
@@ -121,6 +124,16 @@ def test_hj_verify_comma_grid(capsys):
                             "--f", "1,0", "--t-grid", "0.5,1.0")
     assert code == 0
     assert [s["t"] for s in doc["result"]["slices"]] == [0.5, 1.0]
+
+
+@pytest.mark.parametrize("spec", ["quadratic", "power:p=3", "qlin:a=0.25,h=2"])
+def test_hj_verify_slices_are_one_time_reports(spec, capsys):
+    f = [0.3, -1.2, 0.8, 2.0, -0.4]
+    code, doc = invoke_json(capsys, "hj-verify", "--space", "cycle:5",
+                            "--f", ",".join(map(repr, f)), "--cost", spec)
+    space, cost = build_example("cycle", 5), parse_cost_spec(spec)
+    assert doc["result"]["slices"] == [hj_residual(f, t, cost, space).to_json_dict()
+                                       for t in _parse_grid("0.1:2:0.1")]
 
 
 def test_obstruction_witness_exit_two(tmp_path, capsys):

@@ -1,16 +1,26 @@
 """Residual, boundary-limit and semigroup-obstruction tests."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from weakhj.calculus import tilde_gradient, time_derivative, weak_infconv
+from randspaces import example_spaces, random_connected_space
+from weakhj.calculus import (
+    _infconv_times,
+    tilde_gradient,
+    time_derivative,
+    weak_infconv,
+    weak_infconv_bruteforce,
+)
 from weakhj.cost import power, quadratic, quadratic_linear
 from weakhj.hj import (
     ObstructionWitness,
     hj_boundary,
     hj_residual,
+    hj_residuals,
     obstruction_search,
 )
 from weakhj.space import MetricSpace, build_example, build_from_graph, validate_metric
@@ -174,16 +184,17 @@ def test_boundary_excludes_steep_points():
 
 @pytest.fixture
 def boundary_times(monkeypatch):
-    """The times at which hj_boundary evaluates Q~_t f, in call order."""
+    """The times of each stacked evaluation of Q~_t f that hj_boundary
+    makes, one list per call, in call order."""
     import weakhj.hj as hj
 
     calls = []
 
-    def counted(*args):
-        calls.append(args[1])
-        return weak_infconv(*args)
+    def counted(f, ts, cost, space):
+        calls.append(list(ts))
+        return _infconv_times(f, ts, cost, space)
 
-    monkeypatch.setattr(hj, "weak_infconv", counted)
+    monkeypatch.setattr(hj, "_infconv_times", counted)
     return calls
 
 
@@ -193,7 +204,7 @@ def test_boundary_evaluates_only_the_ratios_it_reads(boundary_times):
     rep = hj_boundary(f, cost, space)
     # t = d_min / (2 (alpha*)'(G)) with d_min = 1 and (alpha*)'(y) = y^(1/2)
     t = 1.0 / (2.0 * np.sqrt(np.max(tilde_gradient(f, space))))
-    assert boundary_times == [t]
+    assert boundary_times == [[t]]
     np.testing.assert_array_equal(
         rep.limits, (weak_infconv(f, t, cost, space).values - f) / t)
 
@@ -218,7 +229,7 @@ def test_boundary_rereads_flat_points_at_their_own_time(boundary_times):
         rep = hj_boundary(f, cost, space)
         if not rep.holds:
             failed.append((n, rep.max_error))
-        assert len(boundary_times) <= 9
+        assert len(boundary_times) == 1 and len(boundary_times[0]) <= 9
     assert failed == []
 
 
@@ -229,7 +240,7 @@ def test_boundary_reads_a_random_walk_once(boundary_times, cost):
     rng = np.random.default_rng(3)
     f = np.concatenate([[0.0], np.cumsum(rng.uniform(-0.45, 0.45, 31))])
     rep = hj_boundary(f, cost, build_example("path", 32))
-    assert rep.holds and len(boundary_times) == 1
+    assert rep.holds and boundary_times == [boundary_times[0][:1]]
 
 
 @pytest.mark.parametrize("peak", [1e3, 1e4])
@@ -254,6 +265,114 @@ def test_boundary_limits_are_exact_across_costs():
                 err = np.abs(rep.limits - rep.targets)[keep]
                 assert np.all(err <= 1e-9 * (1.0 + np.abs(rep.targets[keep]))), \
                     (space.n, cost.label(), err.max())
+
+
+# ---------------------------------------------------------------------------
+# one stacked evaluation over a grid of times
+
+GRID_COSTS = [quadratic(), power(1.5), power(3), quadratic_linear(0.25, 2.0)]
+# unsorted, with repeats
+GRID_TS = np.array([0.7, 0.05, 1.9, 0.7, 0.3, 0.05, 3.5])
+
+
+def _grid_cases():
+    rng = np.random.default_rng(21)
+    spaces = [MetricSpace(np.zeros((1, 1)))] + example_spaces()
+    spaces += [random_connected_space(rng) for _ in range(6)]
+    for space in spaces:
+        for scale in (1.0, 4.0):
+            yield space, scale * rng.standard_normal(space.n)
+
+
+def _assert_bitwise(a, b):
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field.name
+        else:
+            assert repr(x) == repr(y), field.name
+
+
+@pytest.mark.parametrize("cost", GRID_COSTS, ids=lambda c: c.label())
+def test_stacked_rows_equal_one_time_calls(cost):
+    for space, f in _grid_cases():
+        _, _, *rows = _infconv_times(f, GRID_TS, cost, space)
+        reports = hj_residuals(f, GRID_TS, cost, space)
+        assert len(reports) == len(GRID_TS)
+        for k, t in enumerate(GRID_TS):
+            one = weak_infconv(f, t, cost, space)
+            for row, ref in zip(rows, (one.values, one.u_min, one.u_max, one.u_star)):
+                assert row[k].tobytes() == ref.tobytes(), (space.n, t)
+            _assert_bitwise(reports[k], hj_residual(f, t, cost, space))
+
+
+@pytest.mark.parametrize("cost", GRID_COSTS, ids=lambda c: c.label())
+def test_stacked_values_match_oracle(cost):
+    for space, f in _grid_cases():
+        values = _infconv_times(f, GRID_TS, cost, space)[2]
+        for t, got in zip(GRID_TS, values):
+            ref = weak_infconv_bruteforce(f, t, cost, space)
+            assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref))), (space.n, t)
+
+
+class CappedConjugate:
+    """`base` with its conjugate set to +inf past slope 0.1, to drive the
+    finite-domain violation path that smoothing keeps qlin itself from."""
+
+    def __init__(self, base):
+        self._base = base
+
+    def __getattr__(self, name):
+        return getattr(self._base, name)
+
+    def conjugate(self, y):
+        y = np.asarray(y, dtype=float)
+        return np.where(y <= 0.1, self._base.conjugate(y), math.inf)
+
+
+def test_stacked_residuals_keep_infinite_conjugates():
+    # the slope of Q~_t f at the last point is 0.25/t once t >= 1, below
+    # 0.1 only at the largest time
+    cost, space = CappedConjugate(quadratic_linear(0.25, 2.0)), build_example("path", 5)
+    f = np.array([0.0, 0.0, 0.0, 0.0, 0.5])
+    reports = hj_residuals(f, GRID_TS, cost, space)
+    assert any(r.conjugate_infinite for r in reports)
+    assert any(r.holds for r in reports)
+    for t, rep in zip(GRID_TS, reports):
+        one = hj_residual(f, t, cost, space)
+        assert rep.conjugate_infinite == one.conjugate_infinite
+        assert rep.holds is one.holds
+        _assert_bitwise(rep, one)
+
+
+@pytest.mark.parametrize("ts", [[0.1, 0.0], [0.1, -1.0], [0.1, math.nan], [math.inf]])
+def test_stacked_residuals_reject_bad_times_like_one_time(ts):
+    with pytest.raises(ValueError) as one:
+        hj_residual([1.0, 0.0], ts[-1], quadratic(), TWO_POINT)
+    with pytest.raises(ValueError) as stacked:
+        hj_residuals([1.0, 0.0], ts, quadratic(), TWO_POINT)
+    assert str(stacked.value) == str(one.value)
+
+
+def test_stacked_residuals_reject_empty_grid():
+    with pytest.raises(ValueError, match="ts must contain positive times"):
+        hj_residuals([1.0, 0.0], [], quadratic(), TWO_POINT)
+
+
+def test_stacked_grid_memory_is_bounded():
+    # a convex f makes every distance profile its own envelope: about
+    # 2 000 segments on path:64, so the 10 000-time grid runs in blocks
+    space = build_example("path", 64)
+    f = (np.arange(64) - 31.5) ** 2 / 64.0
+    ts = np.linspace(0.01, 5.0, 10_000)
+    tracemalloc.start()
+    try:
+        reports = hj_residuals(f, ts, quadratic(), space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 10_000 and all(r.holds for r in reports)
+    assert peak < 64 * 2 ** 20, peak
 
 
 # ---------------------------------------------------------------------------
