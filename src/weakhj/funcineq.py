@@ -360,7 +360,7 @@ def poincare_estimate(mu, space, restarts=64, seed=0):
                             {"diameter": diameter, "best_restart": best_k})
 
 
-def mlsi_verify(mu, C, cost, type="I", space=None, restarts=64, seed=0):
+def mlsi_verify(mu, C, cost, type, space, restarts=64, seed=0):
     """Search for f with Ent_mu(e^f) > C int alpha*(|grad (+/-f)|) e^f dmu.
 
     Type I uses the gradient of f, type II the gradient of -f.  The

@@ -4,7 +4,8 @@ Three pieces.  `hj_residuals` evaluates, per point and per time of a
 grid, the subsolution residual d/dt Q~_t f + alpha*(|grad Q~_t f|) from
 the exact derivative formula and certifies that it is non-positive (one
 `ResidualReport` per time, from one stacked evaluation of Q~_t f over
-the grid); `hj_residual` is its one-time case.  `hj_boundary` reads the
+the grid, whose values and derivatives `_residual_pass` also returns);
+`hj_residual` is its one-time case.  `hj_boundary` reads the
 small-time limit of (Q~_t f - f)/t at times small enough for the ratio
 to equal it, all from one stacked evaluation, and matches it against
 -alpha*(|grad f|) (a `BoundaryReport`).  `obstruction_search` looks for
@@ -82,6 +83,13 @@ def hj_residuals(f, ts, cost, space):
     and the verdict is False.  ValueError unless ts is non-empty with
     every time finite and > 0.
     """
+    return _residual_pass(f, ts, cost, space)[2]
+
+
+def _residual_pass(f, ts, cost, space):
+    """The one stacked pass behind `hj_residuals`: the (T, n) values
+    Q~_t f and derivatives d/dt Q~_t f = -beta(u*/t) over the grid ts,
+    and the residual reports built from them."""
     ts = np.array([as_positive(t, "t") for t in ts])
     if not ts.size:
         raise ValueError("ts must contain positive times")
@@ -109,7 +117,7 @@ def hj_residuals(f, ts, cost, space):
             max_residual=float(np.max(r)),
             conjugate_infinite=infinite,
         ))
-    return reports
+    return values, dq, reports
 
 
 def hj_residual(f, t, cost, space):

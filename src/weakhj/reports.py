@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from .cost import quadratic
-from .calculus import _infconv_times
 from .funcineq import (
     RATIO_SLACK,
     hypercontractivity_sweep,
@@ -31,7 +30,7 @@ from .funcineq import (
     poincare_estimate,
     verdict,
 )
-from .hj import hj_boundary, hj_residuals
+from .hj import _residual_pass, hj_boundary
 from .space import as_measure, build_example, uniform_measure
 from .transport import check_transport_entropy
 
@@ -54,9 +53,7 @@ def two_point_report(restarts=64, seed=0):
     deriv_err = 0.0
     strict = True
     ts = np.linspace(0.1, 0.9, 9)
-    _, _, values, _, _, u_star = _infconv_times(f, ts, cost, space)
-    dqs = -cost.beta(u_star / ts[:, None])
-    for t, q, dq, hj in zip(ts, values, dqs, hj_residuals(f, ts, cost, space)):
+    for t, q, dq, hj in zip(ts, *_residual_pass(f, ts, cost, space)):
         expected = [1.0 - t / 2.0, 0.0]
         residual0 = -0.5 + (1.0 - t / 2.0) ** 2 / 2.0
         value_err = max(value_err, float(np.max(np.abs(q - expected))))

@@ -11,7 +11,9 @@ The objective is convex in pi and depends on pi only through the row
 means, so simplicial decomposition solves it: each round linearizes,
 solves the induced classical transport problem exactly, and
 re-optimizes over the convex hull of the vertices found so far, a
-problem in a handful of weights.  The linearization gap certifies the
+problem in a handful of weights.  The rounds read only the vertices'
+row means and weights, and the coupling is assembled once, at the end;
+nu = mu takes the same rounds.  The linearization gap certifies the
 value.  For spaces with at most three points an independent oracle
 solves the same convex problem by one SLSQP solve over the plan.
 `dual_check` tests the exponential dual bound for one function; its
@@ -226,12 +228,6 @@ def _row_means(plan, mu, dist):
     return means
 
 
-def _mean_objective(pi, mu, dist, cost):
-    means = _row_means(pi, mu, dist)
-    pos = mu > 0
-    return float(np.sum(mu[pos] * cost.eval(means[pos]))), means
-
-
 def _line_search(mu, pos, means, dm, cost, gmax):
     """Exact minimizer of g -> sum mu alpha(means + g dm) on [0, gmax],
     gmax > 0 (1.0, or a minimum of positive weight/step ratios):
@@ -254,10 +250,10 @@ def _line_search(mu, pos, means, dm, cost, gmax):
     return brentq(slope, 0.0, gmax, xtol=2 * EPS * gmax, rtol=4 * EPS)
 
 
-def _master(atoms, lam, mu, pos, dist, cost, tol):
+def _master(M, lam, mu, pos, cost, tol):
     """Minimize F(lam) = sum_x mu(x) alpha((M^T lam)_x) over the simplex,
     where row k of M holds the row means of atom k, by projected Newton
-    steps on the support of lam.
+    steps on the support of lam; the plans themselves are never read.
 
     The heaviest atom is eliminated through sum lam = 1, so each step
     solves a (k-1) x (k-1) system whose Hessian D diag(mu alpha'') D^T is
@@ -265,11 +261,12 @@ def _master(atoms, lam, mu, pos, dist, cost, tol):
     sends a flat direction (alpha'' = 0) to the boundary.  The step
     length along the Newton direction is an exact line search up to the
     boundary (`_line_search`).  Atoms whose weight reaches 0 are
-    dropped.  Stops when the restricted gap lam.g - min g is below tol,
-    when a step moves lam only in its last bits, or after 50 steps.  Progress is
-    judged on slopes, not on F, whose last bits stop moving long before
-    the gap reaches a tight tol."""
-    M = np.stack([_row_means(a, mu, dist) for a in atoms])
+    dropped: returns the indices of the rows of M kept, and their
+    weights.  Stops when the restricted gap lam.g - min g is below tol,
+    when a step moves lam only in its last bits, or after 50 steps.
+    Progress is judged on slopes, not on F, whose last bits stop moving
+    long before the gap reaches a tight tol."""
+    kept = np.arange(lam.size)
     means = lam @ M  # 0 on the mu-null rows, which mu weighs 0
     for _ in range(50):
         if lam.size == 1:
@@ -303,70 +300,73 @@ def _master(atoms, lam, mu, pos, dist, cost, tol):
         new = new[keep] / new[keep].sum()
         if keep.all() and np.abs(new - lam).max() <= 1e-15:
             break  # lam is at its last bits
-        lam = new
-        if not keep.all():
-            M = M[keep]
-            atoms = [a for a, kept in zip(atoms, keep) if kept]
+        lam, M, kept = new, M[keep], kept[keep]
         means = lam @ M
-    return atoms, lam
+    return kept, lam
 
 
 def weak_transport_cost(nu, mu, cost, space, gap_tol=1e-8, max_iter=10000):
     """Minimize the weak transport objective by simplicial decomposition.
 
-    Each round linearizes at the current plan and solves the induced
-    classical transport problem exactly (`_ot_plan`); the linearization
-    gap against that vertex bounds the distance to the optimum, and the
-    run stops once the gap is below gap_tol or at its rounding floor,
-    whichever is larger.  The gap is the difference of two sums of n^2
-    non-negative terms, the linearized costs of the plan and of the
-    vertex, each about the size of the value, so its floor is n^2 eps
-    times their total.  Otherwise the vertex joins the atoms and the
-    plan is re-optimized over the convex hull of all atoms (the
-    restricted master problem in the atom weights; one exact line search
-    while there are at most two atoms, projected Newton steps after
-    that), and atoms left with weight 0 are dropped.
+    The objective reads a plan only through its row means, so the state
+    of a run is the matrix M of the atoms' row means (one row per atom)
+    and their weights lam; the current row means are lam @ M.  Each round
+    linearizes there and solves the induced classical transport problem
+    exactly (`_ot_plan`); the linearization gap against that vertex,
+    sum_x mu(x) alpha'(m_x) (m_x - t_x) with t the vertex's row means,
+    bounds the distance to the optimum, and the run stops once the gap
+    is below gap_tol or at its rounding floor, whichever is larger.  The
+    gap is the difference of two sums of n^2 non-negative terms, the
+    linearized costs of the plan and of the vertex, each about the size
+    of the value, so its floor is n^2 eps times their total.  Otherwise
+    the vertex joins the atoms and the weights are re-optimized over
+    their convex hull (the restricted master problem; one exact line
+    search while there are at most two atoms, projected Newton steps
+    after that), and atoms left with weight 0 are dropped.
     `iterations` counts rounds, one transport subproblem each.  A vertex
-    that is already an atom means the master stalled: the run stops
-    unconverged.  The product coupling makes infeasibility impossible.
+    whose row means already belong to an atom means the master stalled:
+    the run stops unconverged.  nu = mu needs no special case: the
+    vertex diag(mu) has row means 0 and enters by a full step, and the
+    next round closes at value and gap 0.  The plans P_k are kept only
+    for the coupling sum_k lam_k P_k, assembled once, at the end; the
+    product coupling makes infeasibility impossible.
     """
     mu = as_measure(mu, space.n)
     nu = as_measure(nu, space.n)
     dist = space.dist
-    if np.array_equal(nu, mu):
-        return TransportResult(0.0, Coupling(np.diag(mu), mu), 0.0, 0, True)
     pos = mu > 0
     atoms = [np.outer(mu, nu)]
+    M = _row_means(atoms[0], mu, dist)[None]
     lam = np.ones(1)
-    pi = atoms[0].copy()
-    gap = math.inf
-    for it in range(max_iter):
-        value, means = _mean_objective(pi, mu, dist, cost)
-        grad = cost.deriv(means)[:, None] * dist
-        target = _ot_plan(grad, mu, nu)
-        terms = grad * (pi - target)
-        gap = float(terms.sum())
-        if gap <= gap_tol or gap <= terms.size * EPS * float(np.sum(grad * (pi + target))):
-            return TransportResult(value, Coupling(pi, mu), gap, it + 1, True)
-        if any(np.array_equal(a, target) for a in atoms):
-            return TransportResult(value, Coupling(pi, mu), gap, it + 1, False)
+    gap, converged, it = math.inf, False, 0
+    for it in range(1, max_iter + 1):
+        means = lam @ M
+        deriv = cost.deriv(means)
+        target = _ot_plan(deriv[:, None] * dist, mu, nu)
+        t_means = _row_means(target, mu, dist)
+        slope = mu * deriv
+        gap = float(slope @ (means - t_means))
+        if gap <= gap_tol or gap <= mu.size ** 2 * EPS * float(slope @ (means + t_means)):
+            converged = True
+            break
+        if (M == t_means).all(axis=1).any():
+            break
         # the new vertex enters by one Frank-Wolfe step from the plan
-        delta = target - pi
-        gamma = _line_search(mu, pos, means, _row_means(delta, mu, dist), cost, 1.0)
+        gamma = _line_search(mu, pos, means, t_means - means, cost, 1.0)
         if gamma <= 0:
-            return TransportResult(value, Coupling(pi, mu), gap, it + 1, False)
+            break
         if gamma >= 1.0:
-            atoms, lam, pi = [target], np.ones(1), target
+            atoms, M, lam = [target], t_means[None], np.ones(1)
             continue
         atoms.append(target)
+        M = np.vstack([M, t_means])
         lam = np.append((1.0 - gamma) * lam, gamma)
-        if len(atoms) == 2:
-            pi = pi + gamma * delta
-        else:
-            atoms, lam = _master(atoms, lam, mu, pos, dist, cost, 1e-3 * gap_tol)
-            pi = np.tensordot(lam, atoms, 1) if len(atoms) > 1 else atoms[0]
-    value, _ = _mean_objective(pi, mu, dist, cost)
-    return TransportResult(value, Coupling(pi, mu), gap, max_iter, False)
+        if len(atoms) > 2:
+            kept, lam = _master(M, lam, mu, pos, cost, 1e-3 * gap_tol)
+            atoms, M = [atoms[k] for k in kept], M[kept]
+    value = float(mu @ cost.eval(lam @ M))
+    pi = np.tensordot(lam, atoms, 1) if len(atoms) > 1 else atoms[0]
+    return TransportResult(value, Coupling(pi, mu), gap, it, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +422,9 @@ def transport_oracle_small(nu, mu, cost, space):
 # transport-entropy verification
 
 
-def _sample_measure(rng, n, index, sampler):
-    if callable(sampler):
-        return np.asarray(sampler(rng, n), dtype=float)
-    if sampler != "mixed":
-        raise ValueError(f"unknown sampler {sampler!r}")
+def _sample_measure(rng, n, index):
+    """The mixed law: even samples from the flat Dirichlet law, odd ones
+    on two random points."""
     if index % 2 == 0 or n == 1:
         return rng.dirichlet(np.ones(n))
     i, j = rng.choice(n, size=2, replace=False)
@@ -437,17 +435,14 @@ def _sample_measure(rng, n, index, sampler):
     return out
 
 
-def check_transport_entropy(
-    mu, C, cost, space, direction="I", sampler="mixed", n_samples=1000, seed=0
-):
+def check_transport_entropy(mu, C, cost, space, direction="I", n_samples=1000, seed=0):
     """Sampled sweep of the transport-entropy inequality.
 
     Direction I tests T(mu|nu) <= C H(nu|mu), direction II tests
-    T(nu|mu) <= C H(nu|mu), over nu drawn by `sampler`: "mixed" draws
-    even samples from the flat Dirichlet law and odd ones on two random
-    points; a callable sampler(rng, n) returns nu itself.  Samples with
-    H zero (nu = mu) or infinite (support violation, inequality trivial)
-    are skipped.
+    T(nu|mu) <= C H(nu|mu), over nu drawn from the mixed law: even
+    samples from the flat Dirichlet law and odd ones on two random
+    points.  Samples with H zero (nu = mu) or infinite (support
+    violation, inequality trivial) are skipped.
 
     Each evaluated sample is one `weak_transport_cost` solve at gap
     tolerance 1e-9 H.  Its value is an upper bound on the cost, so the
@@ -468,7 +463,7 @@ def check_transport_entropy(
     solves = []  # (iterations, converged, gap) of every solve
 
     def evaluate(rng, k):
-        nu = _sample_measure(rng, space.n, k, sampler)
+        nu = _sample_measure(rng, space.n, k)
         ent = relative_entropy(nu, mu)
         if not math.isfinite(ent) or ent < 1e-14:
             return None

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from weakhj import funcineq
+from weakhj import funcineq, transport
 from weakhj.calculus import lipschitz_seminorm
 from weakhj.cost import power, quadratic, quadratic_linear
 from weakhj.funcineq import (
@@ -177,9 +177,12 @@ def test_mlsi_validation():
     sp = build_example("two_point")
     mu = uniform_measure(2)
     with pytest.raises(ValueError, match="positive"):
-        mlsi_verify(mu, 0.0, quadratic(), space=sp)
+        mlsi_verify(mu, 0.0, quadratic(), "I", sp)
     with pytest.raises(ValueError, match="type"):
         mlsi_verify(mu, 1.0, quadratic(), type="III", space=sp)
+    # the space is required: without it Python rejects the call itself
+    with pytest.raises(TypeError, match="space"):
+        mlsi_verify(mu, 1.0, quadratic())
 
 
 def test_mlsi_quadratic_linear_certifies_at_companion_constant():
@@ -457,8 +460,8 @@ def test_sweeps_count_evaluated_samples(monkeypatch):
                                     n_samples=30).iterations == 30
     # nu = mu has zero entropy and is skipped
     nus = itertools.cycle([mu, np.array([0.9, 0.1]), np.array([1.0, 0.0])])
-    rep = check_transport_entropy(mu, 1.0, quadratic(), sp, n_samples=30,
-                                  sampler=lambda rng, n: next(nus))
+    monkeypatch.setattr(transport, "_sample_measure", lambda rng, n, k: next(nus))
+    rep = check_transport_entropy(mu, 1.0, quadratic(), sp, n_samples=30)
     assert rep.iterations == rep.details["solver"]["calls"] == 20
     # a one-point space has only constant functions: nothing is evaluated
     point = MetricSpace(np.zeros((1, 1)))

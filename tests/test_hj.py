@@ -23,6 +23,7 @@ from weakhj.hj import (
     hj_residuals,
     obstruction_search,
 )
+from weakhj.reports import two_point_report
 from weakhj.space import MetricSpace, build_example, build_from_graph, validate_metric
 
 TWO_POINT = build_example("two_point")
@@ -183,9 +184,9 @@ def test_boundary_excludes_steep_points():
 
 
 @pytest.fixture
-def boundary_times(monkeypatch):
-    """The times of each stacked evaluation of Q~_t f that hj_boundary
-    makes, one list per call, in call order."""
+def stacked_times(monkeypatch):
+    """The times of each stacked evaluation of Q~_t f made through
+    `weakhj.hj`, one list per call, in call order."""
     import weakhj.hj as hj
 
     calls = []
@@ -198,18 +199,26 @@ def boundary_times(monkeypatch):
     return calls
 
 
-def test_boundary_evaluates_only_the_ratios_it_reads(boundary_times):
+def test_two_point_report_evaluates_its_grid_once(stacked_times):
+    # the table's values, derivatives and residuals come from one pass
+    # over the 9 times; the boundary adds its own one-time evaluation
+    two_point_report(restarts=1)
+    assert [len(ts) for ts in stacked_times].count(9) == 1
+    assert len(stacked_times) == 2
+
+
+def test_boundary_evaluates_only_the_ratios_it_reads(stacked_times):
     f = np.array([0.7, -0.3, 0.2, 1.1, 0.4])
     space, cost = build_example("path", 5), power(3)
     rep = hj_boundary(f, cost, space)
     # t = d_min / (2 (alpha*)'(G)) with d_min = 1 and (alpha*)'(y) = y^(1/2)
     t = 1.0 / (2.0 * np.sqrt(np.max(tilde_gradient(f, space))))
-    assert boundary_times == [[t]]
+    assert stacked_times == [[t]]
     np.testing.assert_array_equal(
         rep.limits, (weak_infconv(f, t, cost, space).values - f) / t)
 
 
-def test_boundary_rereads_flat_points_at_their_own_time(boundary_times):
+def test_boundary_rereads_flat_points_at_their_own_time(stacked_times):
     # power:p=1.2 has alpha*(y) = y^6/6, so the steepest point's time falls
     # as G^-5 and a flat point with large |f| lost its ratio to rounding
     rng = np.random.default_rng(11)
@@ -225,22 +234,22 @@ def test_boundary_rereads_flat_points_at_their_own_time(boundary_times):
                 edges.append((i, j, float(rng.uniform(0.3, 2.0))))
         space = build_from_graph(n, edges)
         f = rng.uniform(20.0, 40.0) * rng.standard_normal(n)
-        boundary_times.clear()
+        stacked_times.clear()
         rep = hj_boundary(f, cost, space)
         if not rep.holds:
             failed.append((n, rep.max_error))
-        assert len(boundary_times) == 1 and len(boundary_times[0]) <= 9
+        assert len(stacked_times) == 1 and len(stacked_times[0]) <= 9
     assert failed == []
 
 
 @pytest.mark.parametrize("cost", [quadratic(), power(3), quadratic_linear(0.25, 2.0)])
-def test_boundary_reads_a_random_walk_once(boundary_times, cost):
+def test_boundary_reads_a_random_walk_once(stacked_times, cost):
     # steps below 2ah = 1 keep |grad f| inside the qlin conjugate's domain;
     # no point of a walk this flat needs a second read
     rng = np.random.default_rng(3)
     f = np.concatenate([[0.0], np.cumsum(rng.uniform(-0.45, 0.45, 31))])
     rep = hj_boundary(f, cost, build_example("path", 32))
-    assert rep.holds and boundary_times == [boundary_times[0][:1]]
+    assert rep.holds and stacked_times == [stacked_times[0][:1]]
 
 
 @pytest.mark.parametrize("peak", [1e3, 1e4])

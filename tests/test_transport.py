@@ -212,13 +212,22 @@ def test_weak_cost_zero_iff_equal():
             continue
         cost = quadratic() if k % 2 else power(p=3)
         assert weak_transport_cost(nu, mu, cost, sp).value > 1e-5
+    # nu = mu takes the general loop: the product coupling, then diag(mu)
+    # by a full step, and a second round at gap 0
     sp = build_example("cycle", n=5)
     mu = rng.dirichlet(np.ones(5))
-    res = weak_transport_cost(mu, mu, quadratic(), sp)
-    assert res.value == 0.0
-    assert res.gap == 0.0
-    assert_allclose(res.coupling.matrix, np.diag(mu), atol=0)
-    assert_allclose(res.coupling.kernels(), np.eye(5), atol=0)
+    null = mu.copy()
+    null[2] = 0.0
+    null /= null.sum()
+    for m in (mu, null):
+        for cost in (quadratic(), power(p=3), power(1.5), quadratic_linear(0.25, 2.0)):
+            res = weak_transport_cost(m, m, cost, sp)
+            assert res.value == 0.0
+            assert res.gap == 0.0
+            assert res.converged
+            assert res.iterations == 2
+            assert np.array_equal(res.coupling.matrix, np.diag(m))
+            assert_allclose(res.coupling.kernels(), np.eye(5), atol=0)
 
 
 def test_coupling_marginals_and_validation():
@@ -229,10 +238,15 @@ def test_coupling_marginals_and_validation():
             continue
         mu = rng.dirichlet(np.ones(sp.n))
         nu = rng.dirichlet(np.ones(sp.n))
-        cost = quadratic() if k % 2 else power(p=3)
-        res = weak_transport_cost(nu, mu, cost, sp)
-        assert_allclose(res.coupling.matrix.sum(axis=1), mu, atol=1e-10)
-        assert_allclose(res.coupling.second_marginal(), nu, atol=1e-8)
+        for cost in (quadratic(), power(p=3), power(1.5), quadratic_linear(0.25, 2.0)):
+            res = weak_transport_cost(nu, mu, cost, sp)
+            assert_allclose(res.coupling.matrix.sum(axis=1), mu, atol=1e-10)
+            assert_allclose(res.coupling.second_marginal(), nu, atol=1e-8)
+            # the value is read from the atoms' row means, the coupling
+            # assembled from their plans: both describe the same plan
+            means = (res.coupling.kernels() * sp.dist).sum(axis=1)
+            value = float(mu @ cost.eval(means))
+            assert abs(res.value - value) <= 1e-12 * (1.0 + res.value)
     with pytest.raises(ValueError, match="row"):
         Coupling(np.eye(2), np.array([0.75, 0.25]))
     with pytest.raises(ValueError, match="negative"):
@@ -334,7 +348,7 @@ def test_jensen_dominated_by_classical_cost():
 def _hypercube_draws(count):
     # the mixed sampler's law on hypercube:3: odd draws charge two points
     rng = np.random.default_rng(5)
-    return [_sample_measure(rng, 8, k, "mixed") for k in range(count)]
+    return [_sample_measure(rng, 8, k) for k in range(count)]
 
 
 def test_flat_curvature_instance_converges():
@@ -407,20 +421,19 @@ def test_transport_entropy_hypercube_quarter_is_violated():
     assert rep.best_ratio > 0.6
 
 
-def test_transport_entropy_skips_degenerate_samples():
+def test_transport_entropy_skips_degenerate_samples(monkeypatch):
     sp = build_example("two_point")
     mu = uniform_measure(2)
-    rep = check_transport_entropy(
-        mu, 0.5, quadratic(), sp, sampler=lambda rng, n: mu, n_samples=50, seed=0
-    )
+    monkeypatch.setattr(transport, "_sample_measure", lambda rng, n, k: mu)
+    rep = check_transport_entropy(mu, 0.5, quadratic(), sp, n_samples=50, seed=0)
     assert rep.iterations == 0
     assert rep.best_ratio == 0.0
     assert rep.verdict == "inconclusive"
     # nu charging a mu-null point makes the entropy infinite: skipped
-    rep = check_transport_entropy(
-        np.array([1.0, 0.0]), 0.5, quadratic(), sp,
-        sampler=lambda rng, n: np.array([0.5, 0.5]), n_samples=50, seed=0,
-    )
+    monkeypatch.setattr(transport, "_sample_measure",
+                        lambda rng, n, k: np.array([0.5, 0.5]))
+    rep = check_transport_entropy(np.array([1.0, 0.0]), 0.5, quadratic(), sp,
+                                  n_samples=50, seed=0)
     assert rep.iterations == 0
     assert rep.verdict == "inconclusive"
 
@@ -432,8 +445,6 @@ def test_transport_entropy_validation():
         check_transport_entropy(mu, 0.0, quadratic(), sp)
     with pytest.raises(ValueError, match="direction"):
         check_transport_entropy(mu, 0.5, quadratic(), sp, direction="III")
-    with pytest.raises(ValueError, match="sampler"):
-        check_transport_entropy(mu, 0.5, quadratic(), sp, sampler="other")
 
 
 def test_transport_entropy_records_solver_telemetry():
@@ -452,7 +463,7 @@ def test_transport_entropy_records_solver_telemetry():
     assert again.details == rep.details
 
 
-def test_transport_entropy_gap_at_rounding_floor_converges():
+def test_transport_entropy_gap_at_rounding_floor_converges(monkeypatch):
     # T is about 9 here and H about 4e-8: the gap tolerance 1e-9 H sits
     # below what a gap summed from terms of size ~T can resolve, so the
     # solve must stop on the rounding floor of the gap, not stall on it
@@ -460,8 +471,8 @@ def test_transport_entropy_gap_at_rounding_floor_converges():
     mu = uniform_measure(3)
     nu = np.array([0.33322670832497164, 0.33331788656295586, 0.3334554051120724])
     nu /= nu.sum()
-    rep = check_transport_entropy(mu, 1e9, power(3), sp, direction="II",
-                                  sampler=lambda rng, n: nu, n_samples=1)
+    monkeypatch.setattr(transport, "_sample_measure", lambda rng, n, k: nu)
+    rep = check_transport_entropy(mu, 1e9, power(3), sp, direction="II", n_samples=1)
     assert rep.verdict == "certified-no-violation"
     assert rep.iterations == 1
     assert rep.details["solver"]["unconverged"] == 0
