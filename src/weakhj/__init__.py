@@ -4,9 +4,8 @@ The library evaluates the measure-valued inf-convolution Q~_t f, its
 nonlinear gradient calculus and Hamilton-Jacobi residuals, weak
 optimal-transport costs, and the functional-inequality estimators and
 verifiers that connect them: Poincare and exponential-entropy ratios,
-transport-entropy and dual bounds, hypercontractive norm growth, and
-the quadratic-linear constant bookkeeping.  The `weakhj` console
-script exposes all of it with JSON reports.
+transport-entropy and dual bounds, and hypercontractive norm growth.
+The `weakhj` console script exposes all of it with JSON reports.
 """
 
 from .calculus import (
@@ -22,18 +21,11 @@ from .calculus import (
 from .cost import parse_cost_spec, power, quadratic, quadratic_linear
 from .funcineq import (
     InequalityReport,
-    appendix_checks,
-    bobkov_ledoux_K,
-    bobkov_ledoux_params,
-    classical_mlsi_rhs,
     entropy_exp,
-    herbst_tail_check,
     hypercontractivity_check,
     hypercontractivity_sweep,
     mlsi_verify,
     poincare_estimate,
-    qlin_scaling_check,
-    toto_bridge_check,
     variance,
 )
 from .hj import (
@@ -52,7 +44,6 @@ from .space import (
     build_example,
     build_from_graph,
     load_space,
-    nearest_neighbor_kernel,
     uniform_measure,
     validate_metric,
 )
@@ -72,7 +63,6 @@ __version__ = "0.1.0"
 __all__ = [
     "MetricSpace", "MetricViolation", "build_example", "build_from_graph",
     "load_space", "validate_metric", "uniform_measure",
-    "nearest_neighbor_kernel",
     "quadratic", "power", "quadratic_linear", "parse_cost_spec",
     "weak_infconv", "weak_infconv_bruteforce", "classical_infconv",
     "time_derivative", "tilde_gradient", "lipschitz_seminorm", "envelope",
@@ -86,8 +76,5 @@ __all__ = [
     "InequalityReport", "variance", "entropy_exp",
     "poincare_estimate", "mlsi_verify", "hypercontractivity_check",
     "hypercontractivity_sweep",
-    "classical_mlsi_rhs", "toto_bridge_check",
-    "bobkov_ledoux_K", "bobkov_ledoux_params", "qlin_scaling_check",
-    "appendix_checks", "herbst_tail_check",
     "__version__",
 ]

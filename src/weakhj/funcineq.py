@@ -4,9 +4,7 @@ Variance and exponential-entropy functionals, multi-start subgradient
 search for the best Poincare and modified log-Sobolev ratios of the
 nonlinear gradient, hypercontractive norm growth of the weak
 inf-convolution semigroup and its sampled sweep (at (rho, t) = (0, 1)
-the exponential dual bound of the transport inequality), the bridge
-from Markov-kernel Dirichlet forms, and the constant bookkeeping that
-links a Poincare constant to a quadratic-linear entropy bound.
+the exponential dual bound of the transport inequality).
 
 Every estimator returns an :class:`InequalityReport`.  A
 "certified-no-violation" verdict is an empirical statement at the
@@ -22,15 +20,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .calculus import _gradient_argmax, lipschitz_seminorm, tilde_gradient, weak_infconv
-from .cost import CostFunction, quadratic
-from .space import (as_count, as_function, as_measure, as_positive, check_detailed_balance,
-                     jsonable, kernel_moment_L)
+from .calculus import _gradient_argmax, weak_infconv
+from .cost import quadratic
+from .space import as_count, as_function, as_measure, as_positive, jsonable
 
 RATIO_SLACK = 1e-9
-
-_E2 = math.exp(2.0)
-_E4 = math.exp(4.0)
 
 # search-budget defaults shared by all estimators
 _RESTART_SCALES = (1e-4, 0.1, 1.0, 3.0, 10.0)
@@ -394,52 +388,6 @@ def mlsi_verify(mu, C, cost, type, space, restarts=64, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Markov-kernel Dirichlet forms and the bridge to the nonlinear gradient
-
-
-def classical_mlsi_rhs(f, mu, K):
-    """sum_{x,y} (e^{f(y)} - e^{f(x)}) (f(y) - f(x)) mu(x) K(x,y)."""
-    f = np.asarray(f, dtype=float)
-    k = K.matrix
-    if f.shape != (k.shape[0],):
-        raise ValueError(f"function has shape {f.shape}, kernel is {k.shape}")
-    ef = np.exp(f)
-    df = f[None, :] - f[:, None]
-    de = ef[None, :] - ef[:, None]
-    return float(np.sum(de * df * mu[:, None] * k))
-
-
-def toto_bridge_check(mu, K, space, samples=200, seed=0):
-    """Sampled check that the kernel Dirichlet form is dominated by the
-    nonlinear-gradient form:
-
-        classical_mlsi_rhs(f) <= 2 L sum_x |grad f|^2(x) e^{f(x)} mu(x)
-
-    with L the second distance moment of K.  Detailed balance is a
-    premise and is checked first.
-    """
-    mu = as_measure(mu, space.n)
-    balance = check_detailed_balance(mu, K)
-    if not balance["holds"]:
-        raise ValueError(
-            f"detailed balance fails at {balance['witness']} "
-            f"(asymmetry {balance['max_asymmetry']:.3e})"
-        )
-    L = kernel_moment_L(space, K)
-
-    def evaluate(rng, k):
-        f = _seed_function(rng, space, k)
-        denom = float(mu @ (tilde_gradient(f, space) ** 2 * np.exp(f)))
-        if denom <= 1e-14:
-            return None
-        ratio = classical_mlsi_rhs(f, mu, K) / denom
-        return ratio, ratio, f
-
-    return _sweep("kernel-bridge", 2.0 * L, samples, seed, evaluate,
-                  lambda _: {"L": L})
-
-
-# ---------------------------------------------------------------------------
 # hypercontractivity
 
 
@@ -497,131 +445,3 @@ def hypercontractivity_sweep(mu, C, rho, t, cost, space, n_samples=1000, seed=0)
                                     "t": t, "q": rho + 2.0 * t / C,
                                     "best_log_ratio": best_log},
                   threshold=0.0)
-
-
-# ---------------------------------------------------------------------------
-# quadratic-linear constants
-
-
-def _bobkov_ledoux_factor(C, c):
-    # (2 + 2e^2 + c sqrt(C)) / (2 - c sqrt(C)), positive for c sqrt(C) < 2
-    return (2.0 + 2.0 * _E2 + c * math.sqrt(C)) / (2.0 - c * math.sqrt(C))
-
-
-def bobkov_ledoux_K(C, c):
-    """Entropy constant K(c) produced from a Poincare constant C for
-    c-Lipschitz functions, valid for 0 < c < 2/sqrt(C):
-
-        K = (C/2) ((2 + 2e^2 + c sqrt(C)) / (2 - c sqrt(C)))^2 e^{c sqrt(5C)}
-    """
-    C = as_positive(C, "Poincare constant")
-    root = math.sqrt(C)
-    if not 0 < c < 2.0 / root:
-        raise ValueError(f"Lipschitz bound must lie in (0, {2.0 / root:.6g}), got {c}")
-    frac = _bobkov_ledoux_factor(C, c)
-    return 0.5 * C * frac * frac * math.exp(c * math.sqrt(5.0 * C))
-
-
-def bobkov_ledoux_params(C, c):
-    """Companion constants: the quadratic-linear cost alpha_a^h with
-    a = 1/(4K), h = 2cK, and the transport constant C2 = K/2."""
-    K = bobkov_ledoux_K(C, c)
-    return {"K": K, "a": 1.0 / (4.0 * K), "h": 2.0 * c * K, "C2": K / 2.0}
-
-
-def qlin_scaling_check(f, t, a, h, space):
-    """Check the scaling identity Q_1(t f) = t Q_t f for the
-    quadratic-linear cost, valid while t < a h / Lip(f)."""
-    f = as_function(f, space.n)
-    t = as_positive(t, "time")
-    lip = lipschitz_seminorm(f, space)
-    if lip > 0 and t >= a * h / lip:
-        raise ValueError(
-            f"scaling identity needs t < a h / Lip(f) = {a * h / lip:.6g}, got {t}"
-        )
-    cost = CostFunction("qlin", a=a, h=h)
-    lhs = weak_infconv(t * f, 1.0, cost, space).values
-    rhs = t * weak_infconv(f, t, cost, space).values
-    diff = float(np.max(np.abs(lhs - rhs)))
-    return {"holds": bool(diff <= 1e-10), "max_diff": diff, "lhs": lhs, "rhs": rhs}
-
-
-def appendix_checks(mu, C, f, c, space):
-    """Evaluate the three auxiliary inequalities that turn a Poincare
-    constant C into an entropy bound for c-Lipschitz functions.
-
-    * variance-exponential:  Var(f e^{f/2}) against
-      C int |grad f|^2 (1 + e^4 + f + f^2/4) e^f dmu  (any f);
-    * second-moment-exponential:  int f^2 e^f dmu against
-      C ((2+2e^2+c sqrt(C))/(2-c sqrt(C)))^2 int |grad f|^2 e^f dmu
-      (needs int f dmu = 0, Lip(f) <= c, c < 2/sqrt(C));
-    * second-moment-tilt:  int f^2 dmu against
-      e^{c sqrt(5C)} int f^2 e^{-|f|} dmu  (needs the same premises
-      except the bound on c).
-
-    C must itself be a certified Poincare constant for mu; that premise
-    is the caller's responsibility.  Premise failures on f are reported
-    per inequality rather than raised.
-    """
-    mu = as_measure(mu, space.n)
-    f = as_function(f, space.n)
-    g = tilde_gradient(f, space)
-    ef = np.exp(f)
-
-    def compare(lhs, rhs):
-        return {"premise": "ok", "holds": bool(lhs <= rhs * (1.0 + 1e-9) + 1e-12),
-                "lhs": lhs, "rhs": rhs}
-
-    def failed(premises):
-        return {"premise": "; ".join(premises), "holds": None}
-
-    out = {"variance-exponential": compare(
-        variance(f * np.exp(f / 2.0), mu),
-        C * float(mu @ (g ** 2 * (1.0 + _E4 + f + f ** 2 / 4.0) * ef)))}
-
-    mean = float(mu @ f)
-    lip = lipschitz_seminorm(f, space)
-    premises = []
-    if abs(mean) > 1e-9:
-        premises.append(f"mean {mean:.3e} != 0")
-    if lip > c * (1.0 + 1e-12):
-        premises.append(f"Lip(f) = {lip:.6g} exceeds c = {c:.6g}")
-
-    root = math.sqrt(C)
-    steep = [f"c = {c:.6g} not below 2/sqrt(C) = {2.0 / root:.6g}"] if c * root >= 2.0 else []
-    if premises or steep:
-        out["second-moment-exponential"] = failed(premises + steep)
-    else:
-        frac = _bobkov_ledoux_factor(C, c)
-        out["second-moment-exponential"] = compare(
-            float(mu @ (f ** 2 * ef)), C * frac * frac * float(mu @ (g ** 2 * ef)))
-
-    out["second-moment-tilt"] = failed(premises) if premises else compare(
-        float(mu @ f ** 2),
-        math.exp(c * math.sqrt(5.0 * C)) * float(mu @ (f ** 2 * np.exp(-np.abs(f)))))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# concentration
-
-
-def herbst_tail_check(mu, C, space, samples=200, seed=0):
-    """Sampled check of the Gaussian tail bound mu(f >= h) <= e^{-h^2/(4C)}
-    for centered 1-Lipschitz functions; C is a certified transport or
-    entropy constant.  The reported ratio is tail mass over bound."""
-    mu = as_measure(mu, space.n)
-
-    def evaluate(rng, k):
-        f = _seed_function(rng, space, k)
-        lip = lipschitz_seminorm(f, space)
-        if lip <= 1e-14:
-            return None
-        f = f / lip
-        f = f - float(mu @ f)
-        ratio = max((float(mu @ (f >= h - 1e-12)) / math.exp(-h * h / (4.0 * C))
-                     for h in np.unique(f[f > 1e-12])), default=0.0)
-        return ratio, ratio, f
-
-    return _sweep("herbst-tail", 1.0, samples, seed, evaluate,
-                  lambda _: {"C": float(C)})

@@ -1,4 +1,4 @@
-"""Finite metric spaces, probability measures and Markov kernels.
+"""Finite metric spaces and probability measures.
 
 A space is a finite point set together with a validated distance matrix.
 Canonical families (two-point, path, cycle, complete, hypercube, symmetric
@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -19,11 +19,11 @@ from scipy.sparse.csgraph import shortest_path
 
 # 2^n points need 16 * 4^n bytes: the float distance matrix plus the int64
 # row sort order `MetricSpace.distance_groups` caches.  n = 12 takes 268 MB;
-# n = 13 would take 1.07 GB.
+# n = 13 would take 1.07 GB.  `build_from_graph` caps a graph at the same
+# 2^12 points.
 HYPERCUBE_MAX_N = 12
 SYMMETRIC_GROUP_MAX_N = 5
 METRIC_TOL = 1e-9
-BALANCE_TOL = 1e-10
 
 
 def jsonable(obj):
@@ -152,22 +152,30 @@ def validate_metric(dist, labels=None):
 def build_from_graph(n, edges, labels=None):
     """Shortest-path metric of an undirected weighted graph.
 
-    edges: iterable of (i, j, weight) with weight > 0, or (i, j) for unit
-    weight. Raises on unreachable pairs, loops and non-positive weights.
+    edges: iterable of (i, j, weight) with finite weight > 0, or (i, j) for
+    unit weight; n and the endpoints must be integers.  Raises on
+    unreachable pairs, loops and bad weights, and CapacityError, before
+    allocating, above the hypercube's point cap of 2^HYPERCUBE_MAX_N.
     """
+    n = as_count(n, "n")
+    if n > 2 ** HYPERCUBE_MAX_N:
+        raise CapacityError(
+            f"graph capped at {2 ** HYPERCUBE_MAX_N} points, got n={n}: its distance "
+            f"matrix and row-order cache need {16 * n * n} bytes")
     weight = {}
     for e in edges:
         if len(e) == 2:
             i, j, w = e[0], e[1], 1.0
         else:
             i, j, w = e
-        i, j, w = int(i), int(j), float(w)
-        if not (0 <= i < n and 0 <= j < n):
+        i, j = as_count(i, "edge endpoint", least=0), as_count(j, "edge endpoint", least=0)
+        w = float(w)
+        if not (i < n and j < n):
             raise ValueError(f"edge ({i},{j}) out of range for n={n}")
         if i == j:
             raise ValueError(f"loop edge at {i}")
-        if w <= 0:
-            raise ValueError(f"edge ({i},{j}) has non-positive weight {w}")
+        if not 0 < w < math.inf:
+            raise ValueError(f"edge ({i},{j}) has non-positive or non-finite weight {w}")
         key = (min(i, j), max(i, j))
         weight[key] = min(w, weight.get(key, w))  # parallel edges keep the shortest
     rows = [i for i, _ in weight] + [j for _, j in weight]
@@ -245,14 +253,14 @@ def load_space(obj):
     """Build a space from a decoded JSON dict, {"n", "edges"} or {"dist",
     "labels"?}; the CLI reads, digests and error-checks the file itself."""
     if "edges" in obj:
-        return build_from_graph(int(obj["n"]), obj["edges"], obj.get("labels"))
+        return build_from_graph(obj["n"], obj["edges"], obj.get("labels"))
     if "dist" in obj:
         return validate_metric(obj["dist"], obj.get("labels"))
     raise ValueError("space JSON needs either 'edges' or 'dist'")
 
 
 # ---------------------------------------------------------------------------
-# measures, functions, kernels
+# measures and functions
 
 
 def as_measure(w, n):
@@ -296,53 +304,3 @@ def as_count(x, name, least=1):
 
 def uniform_measure(n):
     return np.full(n, 1.0 / n)
-
-
-@dataclass
-class KernelMatrix:
-    """Non-negative kernel K(x, y); `row_stochastic` asserts unit row sums."""
-
-    matrix: np.ndarray
-    row_stochastic: bool = False
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("kernel must be a square matrix")
-        if np.any(m < 0):
-            i, j = np.argwhere(m < 0)[0]
-            raise ValueError(f"negative kernel entry at ({int(i)},{int(j)})")
-        if self.row_stochastic and np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-10:
-            bad = int(np.argmax(np.abs(m.sum(axis=1) - 1.0)))
-            raise ValueError(f"row {bad} sums to {m.sum(axis=1)[bad]!r}, expected 1")
-        self.matrix.flags.writeable = False
-
-
-def nearest_neighbor_kernel(space):
-    """Uniform jump kernel onto each point's nearest neighbors (the points
-    attaining its minimal positive distance); a lone point keeps its mass."""
-    d = space.dist
-    r = np.where(d > 0, d, np.inf).min(axis=1, keepdims=True)
-    nb = np.abs(d - r) <= 1e-12 * (1.0 + r)
-    return KernelMatrix(nb / nb.sum(axis=1, keepdims=True), row_stochastic=True)
-
-
-def kernel_moment_L(space, kernel):
-    """L = max_x sum_y d(x,y)^2 K(x,y), the second distance moment of K."""
-    return float(np.max(np.sum(space.dist ** 2 * kernel.matrix, axis=1)))
-
-
-def check_detailed_balance(mu, kernel):
-    """Check mu(x) K(x,y) == mu(y) K(y,x) to BALANCE_TOL; returns verdict
-    with a witness."""
-    m = kernel.matrix
-    mu = as_measure(mu, m.shape[0])
-    flow = mu[:, None] * m
-    gap = np.abs(flow - flow.T)
-    worst = float(gap.max())
-    report = {"holds": worst <= BALANCE_TOL, "max_asymmetry": worst}
-    if not report["holds"]:
-        i, j = np.unravel_index(int(np.argmax(gap)), gap.shape)
-        report["witness"] = (int(i), int(j))
-    return report

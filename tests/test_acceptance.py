@@ -10,7 +10,6 @@ xfail(strict=True) with the measured countercase in the reason.
 import time
 
 import numpy as np
-import mpmath as mp
 import pytest
 
 from weakhj.space import build_example, build_from_graph, uniform_measure
@@ -27,10 +26,6 @@ from weakhj.funcineq import (
     mlsi_verify,
     hypercontractivity_check,
     hypercontractivity_sweep,
-    bobkov_ledoux_params,
-    qlin_scaling_check,
-    appendix_checks,
-    lipschitz_seminorm,
 )
 from weakhj.transport import (
     weak_transport_cost,
@@ -301,54 +296,6 @@ def test_poincare_diameter_bound_across_sweep():
         est = poincare_estimate(uniform_measure(sp.n), sp, restarts=64, seed=0)
         assert est.best_ratio <= sp.diameter**2 / 2.0 + 1e-9, (kind, est.best_ratio)
 
-
-def test_quadratic_linear_constant_chain():
-    C, c = 0.5, 1.0
-    assert c < 2.0 / np.sqrt(C)
-    params = bobkov_ledoux_params(C, c)
-
-    mp.mp.dps = 60
-    Cm, cm = mp.mpf("0.5"), mp.mpf(1)
-    root = mp.sqrt(Cm)
-    frac = (2 + 2 * mp.e**2 + cm * root) / (2 - cm * root)
-    K_ref = Cm / 2 * frac * frac * mp.e ** (cm * mp.sqrt(5 * Cm))
-    assert abs(params["K"] - float(K_ref)) / float(K_ref) <= 1e-12
-
-    sp = build_example("two_point")
-    mu = uniform_measure(2)
-    cost = quadratic_linear(params["a"], params["h"])
-    rep = mlsi_verify(mu, params["K"], cost, "I", sp, restarts=24, seed=0)
-    assert rep.verdict == "certified-no-violation"
-
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    for _ in range(100):
-        f = rng.normal(0.0, 1.0, 2)
-        f = f / lipschitz_seminorm(f, sp)
-        t = float(rng.uniform(0.05, 0.45))
-        out = qlin_scaling_check(f, t, params["a"], params["h"], sp)
-        assert out["holds"]
-        worst = max(worst, out["max_diff"])
-    assert worst <= 1e-10
-
-
-def test_exponential_moment_bounds_at_certified_constants():
-    for kind, n in (("two_point", None), ("cycle", 6), ("hypercube", 3)):
-        sp = build_example(kind, n)
-        mu = uniform_measure(sp.n)
-        C_p = poincare_estimate(mu, sp, restarts=64, seed=0).best_ratio
-        rng = np.random.default_rng(6)
-        for _ in range(500):
-            f = rng.normal(0.0, 1.0, sp.n)
-            lip = lipschitz_seminorm(f, sp)
-            if lip <= 1e-14:
-                continue
-            f = f / lip
-            f = f - float(mu @ f)
-            out = appendix_checks(mu, C_p, f, 1.0, sp)
-            for name, rep in out.items():
-                assert rep["premise"] == "ok", (kind, name, rep["premise"])
-                assert rep["holds"], (kind, name, rep)
 
 
 def test_obstruction_witness_found_quickly():

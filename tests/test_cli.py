@@ -67,6 +67,23 @@ def test_space_validate_rejects_bad_labels(space, tmp_path, capsys):
     assert "labels" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("text, reason", [
+    ('{"n": 1e400, "edges": []}', "n must be an integer"),
+    ('{"n": 100000000, "edges": [[0, 1]]}', "capped at 4096 points"),
+    ('{"n": 3, "edges": [[0, 1.5], [1, 2.9]]}', "endpoint must be an integer"),
+], ids=["overflowing-n", "unallocatable-n", "fractional-endpoint"])
+def test_space_validate_checks_integers_and_size(text, reason, tmp_path, capsys):
+    path = tmp_path / "space.json"
+    path.write_text(text)
+    code = run(["space", "--validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.out + captured.err
+    doc = json.loads(captured.out)
+    assert doc["error"]["type"] == "input"
+    assert reason in doc["error"]["message"]
+
+
 def test_space_requires_an_input(capsys):
     code, doc = invoke_json(capsys, "space")
     assert code == 1 and doc["error"]["type"] == "input"

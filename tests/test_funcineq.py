@@ -10,27 +10,14 @@ from weakhj import funcineq, transport
 from weakhj.calculus import lipschitz_seminorm
 from weakhj.cost import power, quadratic, quadratic_linear
 from weakhj.funcineq import (
-    appendix_checks,
-    bobkov_ledoux_K,
-    bobkov_ledoux_params,
-    classical_mlsi_rhs,
     entropy_exp,
-    herbst_tail_check,
     hypercontractivity_check,
     hypercontractivity_sweep,
     mlsi_verify,
     poincare_estimate,
-    qlin_scaling_check,
-    toto_bridge_check,
     variance,
 )
-from weakhj.space import (
-    KernelMatrix,
-    MetricSpace,
-    build_example,
-    nearest_neighbor_kernel,
-    uniform_measure,
-)
+from weakhj.space import MetricSpace, build_example, uniform_measure
 from weakhj.transport import check_transport_entropy, dual_check
 
 from randspaces import example_spaces
@@ -185,67 +172,8 @@ def test_mlsi_validation():
         mlsi_verify(mu, 1.0, quadratic())
 
 
-def test_mlsi_quadratic_linear_certifies_at_companion_constant():
-    params = bobkov_ledoux_params(0.5, 1.0)
-    cost = quadratic_linear(a=params["a"], h=params["h"])
-    rep = mlsi_verify(uniform_measure(2), params["K"], cost, type="I",
-                      space=build_example("two_point"), restarts=8, seed=0)
-    assert rep.verdict == "certified-no-violation"
-    assert rep.best_ratio < params["K"]
 
 
-def test_discrete_dirichlet_forms():
-    mu = uniform_measure(2)
-    kernel = KernelMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    f = np.array([1.0, 0.0])
-    assert_allclose(classical_mlsi_rhs(f, mu, kernel), math.e - 1, rtol=1e-14)
-    with pytest.raises(ValueError):
-        classical_mlsi_rhs(np.ones(3), mu, kernel)
-
-
-def test_kernel_bridge_two_point():
-    sp = build_example("two_point")
-    mu = uniform_measure(2)
-    kernel = KernelMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    rep = toto_bridge_check(mu, kernel, sp, samples=100, seed=0)
-    assert rep.verdict == "certified-no-violation"
-    assert rep.details["L"] == 1.0
-    # sampled ratios approach the bound 2L from below
-    assert 1.9 < rep.best_ratio <= 2.0 + 1e-9
-
-
-def test_kernel_bridge_hypercube():
-    sp = build_example("hypercube", n=3)
-    kernel = nearest_neighbor_kernel(sp)
-    rep = toto_bridge_check(uniform_measure(8), kernel, sp, samples=200, seed=0)
-    assert rep.verdict == "certified-no-violation"
-    assert rep.best_ratio <= 2.0 * rep.details["L"] + 1e-9
-
-
-def test_kernel_bridge_requires_detailed_balance():
-    sp = build_example("two_point")
-    kernel = KernelMatrix(np.array([[0.0, 1.0], [0.25, 0.0]]))
-    with pytest.raises(ValueError, match="balance"):
-        toto_bridge_check(uniform_measure(2), kernel, sp)
-
-
-def test_bobkov_ledoux_constant_formula():
-    with mpmath.workdps(40):
-        e2 = mpmath.e**2
-        want = (
-            mpmath.mpf(1) / 2 * ((2 + 2 * e2 + 1) / (2 - 1)) ** 2
-            * mpmath.e**mpmath.sqrt(5)
-        )
-        assert_allclose(bobkov_ledoux_K(1.0, 1.0), float(want), rtol=1e-12)
-    # small-slope limit of the formula
-    assert_allclose(bobkov_ledoux_K(1.0, 1e-12), 0.5 * (1 + math.e**2) ** 2 * 4 / 4,
-                    rtol=1e-9)
-    with pytest.raises(ValueError, match="2"):
-        bobkov_ledoux_K(1.0, 2.0)
-    params = bobkov_ledoux_params(1.0, 1.0)
-    assert_allclose(params["a"], 1 / (4 * params["K"]), rtol=1e-14)
-    assert_allclose(params["h"], 2 * params["K"], rtol=1e-14)
-    assert_allclose(params["C2"], params["K"] / 2, rtol=1e-14)
 
 
 def test_hypercontractivity_time_zero_is_identity():
@@ -315,135 +243,17 @@ def test_hypercontractivity_validation():
             hypercontractivity_check(mu, 1.0, np.zeros(2), 1.0, t, sp)
 
 
-def test_qlin_scaling_constant_and_two_point():
-    sp = build_example("two_point")
-    out = qlin_scaling_check(np.full(2, 3.0), 0.5, 1.0, 1.0, sp)
-    assert out["holds"]
-    assert out["max_diff"] == 0.0
-    # f = (1, 0), a = 1, h = 2, t = 1/2: the scaled side minimizes
-    # (1-s)/2 + s^2 at s = 1/4, giving 7/16 at the high point
-    out = qlin_scaling_check(np.array([1.0, 0.0]), 0.5, 1.0, 2.0, sp)
-    assert out["holds"]
-    assert_allclose(out["lhs"], [0.4375, 0.0], atol=1e-12)
-    assert_allclose(out["rhs"], [0.4375, 0.0], atol=1e-12)
 
 
-def test_qlin_scaling_unit_lipschitz_sweep():
-    sp = build_example("path", n=5)
-    rng = np.random.default_rng(14)
-    for _ in range(100):
-        f = rng.standard_normal(5)
-        f /= lipschitz_seminorm(f, sp)
-        out = qlin_scaling_check(f, 0.9, 1.0, 1.0, sp)
-        assert out["holds"]
-        assert out["max_diff"] <= 1e-10
 
 
-def test_qlin_scaling_fails_beyond_slope_bound():
-    # the identity needs Lip(f) <= 2ah: the time bound alone does not
-    # keep the rescaled minimizer inside the quadratic branch
-    sp = build_example("path", n=5)
-    f = np.array([-0.41643991, -0.98112843, 2.28015235, 1.64141097, -2.3651561])
-    lip = lipschitz_seminorm(f, sp)
-    assert lip > 2 * 1.0 * 2.0
-    out = qlin_scaling_check(f, 0.9 * (1.0 * 2.0 / lip), 1.0, 2.0, sp)
-    assert not out["holds"]
-    assert out["max_diff"] > 1e-4
 
-
-def test_qlin_scaling_range_validation():
-    sp = build_example("two_point")
-    f = np.array([1.0, 0.0])
-    with pytest.raises(ValueError):
-        qlin_scaling_check(f, 0.0, 1.0, 1.0, sp)
-    with pytest.raises(ValueError):
-        qlin_scaling_check(f, 1.0, 1.0, 1.0, sp)
-
-
-def test_appendix_two_point_closed_forms():
-    sp = build_example("two_point")
-    mu = uniform_measure(2)
-    f = np.array([0.5, -0.5])
-    out = appendix_checks(mu, 0.5, f, 1.0, sp)
-    e = math.e
-    g = np.array([0.5 * e**0.25, -0.5 * e**-0.25])
-    var = 0.5 * (g[0] ** 2 + g[1] ** 2) - (0.5 * (g[0] + g[1])) ** 2
-    first = out["variance-exponential"]
-    assert first["premise"] == "ok" and first["holds"]
-    assert_allclose(first["lhs"], var, rtol=1e-12)
-    assert_allclose(first["rhs"],
-                    0.5 * 0.5 * (1 + e**4 + 0.5 + 0.25 / 4) * e**0.5, rtol=1e-12)
-    second = out["second-moment-exponential"]
-    assert second["premise"] == "ok" and second["holds"]
-    assert_allclose(second["lhs"], 0.25 * 0.5 * (e**0.5 + e**-0.5), rtol=1e-12)
-    factor = ((2 + 2 * e**2 + math.sqrt(0.5)) / (2 - math.sqrt(0.5))) ** 2
-    assert_allclose(second["rhs"], 0.5 * factor * 0.5 * e**0.5, rtol=1e-12)
-    third = out["second-moment-tilt"]
-    assert third["premise"] == "ok" and third["holds"]
-    assert_allclose(third["lhs"], 0.25, rtol=1e-14)
-    assert_allclose(third["rhs"], math.exp(math.sqrt(2.5)) * 0.25 * e**-0.5,
-                    rtol=1e-12)
-
-
-def test_appendix_zero_function_trivial():
-    sp = build_example("two_point")
-    out = appendix_checks(uniform_measure(2), 0.5, np.zeros(2), 1.0, sp)
-    for verdict in out.values():
-        assert verdict["premise"] == "ok"
-        assert verdict["holds"]
-        assert verdict["lhs"] == 0.0
-
-
-def test_appendix_random_sweep_on_cycle():
-    # constant comfortably above the measured variance-to-energy ratio
-    # of the six-cycle, so every premise-satisfying draw must pass
-    sp = build_example("cycle", n=6)
-    mu = uniform_measure(6)
-    rng = np.random.default_rng(4)
-    checked = 0
-    for _ in range(300):
-        f = rng.standard_normal(6)
-        f -= mu @ f
-        c = float(rng.uniform(0.1, 1.5))
-        f *= c / lipschitz_seminorm(f, sp)
-        f -= mu @ f
-        out = appendix_checks(mu, 1.5, f, c * 1.000001, sp)
-        for verdict in out.values():
-            if verdict["premise"] == "ok":
-                checked += 1
-                assert verdict["holds"]
-    assert checked > 800
-
-
-def test_appendix_premise_reporting():
-    sp = build_example("two_point")
-    mu = uniform_measure(2)
-    out = appendix_checks(mu, 0.5, np.array([1.0, 0.0]), 1.0, sp)
-    assert out["second-moment-exponential"]["premise"] != "ok"
-    assert out["second-moment-tilt"]["premise"] != "ok"
-    assert out["second-moment-exponential"]["holds"] is None
-    # slope bound: c sqrt(C) must stay below 2
-    out = appendix_checks(mu, 4.0, np.array([0.5, -0.5]), 1.5, sp)
-    assert out["second-moment-exponential"]["premise"] != "ok"
-    # steep function against a small slope budget
-    out = appendix_checks(mu, 0.5, np.array([2.0, -2.0]), 1.0, sp)
-    assert out["second-moment-exponential"]["premise"] != "ok"
-
-
-def test_herbst_tail_two_point():
-    sp = build_example("two_point")
-    mu = uniform_measure(2)
-    rep = herbst_tail_check(mu, 1.0, sp, samples=200, seed=0)
-    assert rep.verdict == "certified-no-violation"
-    assert rep.best_ratio < 1.0
-    rep = herbst_tail_check(mu, 0.05, sp, samples=200, seed=0)
-    assert rep.verdict == "violated"
 
 
 def test_sweeps_count_evaluated_samples(monkeypatch):
-    # every third test function is constant, which the bridge and tail
-    # sweeps skip and the norm-growth sweep evaluates; `iterations` counts the
-    # samples each sweep evaluated, not its draws
+    # `iterations` counts the samples a sweep evaluated, not its draws.
+    # Every third test function is constant, which the norm-growth sweep
+    # still evaluates
     seed_function = funcineq._seed_function
 
     def draw(rng, space, k):
@@ -453,23 +263,18 @@ def test_sweeps_count_evaluated_samples(monkeypatch):
     monkeypatch.setattr(funcineq, "_seed_function", draw)
     sp = build_example("two_point")
     mu = uniform_measure(2)
-    kernel = KernelMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert toto_bridge_check(mu, kernel, sp, samples=30).iterations == 20
-    assert herbst_tail_check(mu, 1.0, sp, samples=30).iterations == 20
     assert hypercontractivity_sweep(mu, 1.0, 0.0, 1.0, quadratic(), sp,
                                     n_samples=30).iterations == 30
+    # a one-point space has nu = mu only, of zero entropy: nothing is evaluated
+    point = MetricSpace(np.zeros((1, 1)))
+    rep = check_transport_entropy(np.ones(1), 1.0, quadratic(), point, n_samples=30)
+    assert rep.iterations == 0
+    assert rep.verdict == "inconclusive" and rep.witness is None
     # nu = mu has zero entropy and is skipped
     nus = itertools.cycle([mu, np.array([0.9, 0.1]), np.array([1.0, 0.0])])
     monkeypatch.setattr(transport, "_sample_measure", lambda rng, n, k: next(nus))
     rep = check_transport_entropy(mu, 1.0, quadratic(), sp, n_samples=30)
     assert rep.iterations == rep.details["solver"]["calls"] == 20
-    # a one-point space has only constant functions: nothing is evaluated
-    point = MetricSpace(np.zeros((1, 1)))
-    one = np.ones(1)
-    for rep in (toto_bridge_check(one, nearest_neighbor_kernel(point), point),
-                herbst_tail_check(one, 1.0, point)):
-        assert rep.iterations == 0
-        assert rep.verdict == "inconclusive" and rep.witness is None
 
 
 def test_report_serialization():

@@ -1,4 +1,4 @@
-"""Tests for finite metric spaces, measures, kernels and file I/O."""
+"""Tests for finite metric spaces, measures and file I/O."""
 
 import json
 import math
@@ -10,7 +10,6 @@ from randspaces import example_spaces, random_connected_space
 from weakhj.calculus import distance_profile
 from weakhj.space import (
     CapacityError,
-    KernelMatrix,
     MetricViolation,
     as_count,
     as_function,
@@ -18,12 +17,9 @@ from weakhj.space import (
     as_positive,
     build_example,
     build_from_graph,
-    check_detailed_balance,
     check_metric,
     jsonable,
-    kernel_moment_L,
     load_space,
-    nearest_neighbor_kernel,
     uniform_measure,
     validate_metric,
 )
@@ -66,6 +62,17 @@ def test_build_from_graph_errors():
         build_from_graph(2, [(0, 1, 0.0)])
     with pytest.raises(ValueError, match="out of range"):
         build_from_graph(2, [(0, 2)])
+    for n in (3.7, True, float("inf")):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            build_from_graph(n, [])
+    # the point cap is checked before anything is allocated
+    with pytest.raises(CapacityError, match="4096 points"):
+        build_from_graph(4097, [(0, 1)])
+    with pytest.raises(ValueError, match="endpoint must be an integer"):
+        build_from_graph(3, [(0, 1.5), (1, 2)])
+    for w in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-positive"):
+            build_from_graph(2, [(0, 1, w)])
 
 
 def test_path_cycle_complete_distances():
@@ -257,61 +264,8 @@ def test_as_count_takes_positive_integers_only():
             as_count(bad, "restarts")
 
 
-def test_kernel_validation():
-    with pytest.raises(ValueError):
-        KernelMatrix(np.array([[0.5, 0.6], [0.5, 0.5]]), row_stochastic=True)
-    with pytest.raises(ValueError):
-        KernelMatrix(np.array([[-0.1, 1.1], [0.5, 0.5]]))
-    k = KernelMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), row_stochastic=True)
-    assert k.matrix[0, 1] == 1.0
 
 
-def test_nearest_neighbor_kernel_path():
-    sp = build_example("path", 3)
-    k = nearest_neighbor_kernel(sp)
-    np.testing.assert_allclose(k.matrix, [[0, 1, 0], [0.5, 0, 0.5], [0, 1, 0]])
-    assert k.row_stochastic
-
-
-def test_nearest_neighbor_kernel_matches_row_reference():
-    """The array form equals the row-by-row construction exactly."""
-    rng = np.random.default_rng(11)
-    spaces = example_spaces() + [build_example("symmetric_group", 3)]
-    spaces += [random_connected_space(rng) for _ in range(30)]
-    for sp in spaces:
-        expected = np.zeros((sp.n, sp.n))
-        for x in range(sp.n):
-            r = sp.dist[x][sp.dist[x] > 0].min()
-            nb = np.flatnonzero(np.abs(sp.dist[x] - r) <= 1e-12 * (1.0 + r))
-            expected[x, nb] = 1.0 / len(nb)
-        np.testing.assert_array_equal(nearest_neighbor_kernel(sp).matrix, expected)
-
-
-def test_kernel_moment_values():
-    sp = build_example("hypercube", 3)
-    assert kernel_moment_L(sp, nearest_neighbor_kernel(sp)) == 1.0
-    two = build_example("two_point")
-    swap = KernelMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), row_stochastic=True)
-    assert kernel_moment_L(two, swap) == 1.0
-    zero = KernelMatrix(np.zeros((2, 2)))
-    assert kernel_moment_L(two, zero) == 0.0
-
-
-def test_detailed_balance():
-    two = build_example("two_point")
-    k = KernelMatrix(np.array([[0.75, 0.25], [0.5, 0.5]]), row_stochastic=True)
-    v = check_detailed_balance(np.array([2 / 3, 1 / 3]), k)
-    assert v["holds"]
-    assert v["max_asymmetry"] <= 1e-15
-
-    sym = KernelMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    v = check_detailed_balance(uniform_measure(2), sym)
-    assert v["holds"] and v["max_asymmetry"] == 0.0
-
-    bad = KernelMatrix(np.array([[0.0, 1.0], [0.0, 1.0]]))
-    v = check_detailed_balance(uniform_measure(2), bad)
-    assert not v["holds"]
-    assert tuple(v["witness"]) == (0, 1)
 
 
 def test_example_spaces_all_valid():
