@@ -1,10 +1,13 @@
 """Command-line front-end.
 
-Thin adapter only: every subcommand parses arguments, loads inputs,
-calls one library entry point and serializes the returned report.  No
-numeric logic lives here.  Output is a single JSON document on stdout
-wrapped in a run manifest (command, input digests, seed, version, wall
-time); `--csv` flattens the result payload into key,value rows instead.
+Thin adapter only: `run` parses the arguments and loads the space,
+vectors and cost they name, once for every subcommand; the subcommand's
+handler calls one library entry point, and `run` serializes the returned
+report.  The example kinds, their sizes and caps come from
+`space.EXAMPLES`, and no numeric logic lives here.  Output is a single
+JSON document on stdout wrapped in a run manifest (command, input
+digests, seed, version, wall time); `--csv` flattens the result payload
+into key,value rows instead.
 Both go through `space.jsonable`, so a non-finite number prints as null.
 
 Exit codes: 0 success or verified, and also a sweep that evaluated no
@@ -39,7 +42,8 @@ from .reports import (
     hypercube_report,
     two_point_report,
 )
-from .space import MetricViolation, build_example, jsonable, load_space
+from .space import (EXAMPLES, MetricViolation, build_example, jsonable,
+                    load_space, uniform_measure)
 from .transport import (
     SolverError,
     check_transport_entropy,
@@ -47,8 +51,6 @@ from .transport import (
     weak_transport_cost,
 )
 
-_EXAMPLE_KINDS = ("two_point", "path", "cycle", "complete", "hypercube",
-                  "symmetric_group")
 _GRID_CAP = 10_000  # points in a start:stop:step grid
 
 
@@ -100,10 +102,10 @@ def _load_space_arg(spec, inputs):
         except (ValueError, TypeError, KeyError) as exc:
             raise InputError(f"bad space file {spec}: {exc}") from exc
     name, _, arg = spec.partition(":")
-    if name not in _EXAMPLE_KINDS:
+    if name not in EXAMPLES:
         raise InputError(
             f"space {spec!r} is neither a file nor an example spec",
-            {"known_examples": list(_EXAMPLE_KINDS)})
+            {"known_examples": list(EXAMPLES)})
     inputs["space"] = _digest_obj({"example": spec})
     try:
         n = int(arg) if arg else None
@@ -160,11 +162,21 @@ def _parse_grid(spec):
     return _numbers(spec.split(","), f"bad grid {spec!r}")
 
 
-def _parse_cost(spec):
-    try:
-        return parse_cost_spec(spec)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+def _load_inputs(args, inputs):
+    """Replace the --space, --f/--nu/--mu and --cost specs in `args` by the
+    space, vectors and cost they name, loaded in that order, the order of
+    the digests in `inputs`."""
+    given = vars(args)
+    if "space" in given:
+        given["space"] = _load_space_arg(given["space"], inputs)
+    for name in ("f", "nu", "mu"):
+        if given.get(name) is not None:
+            given[name] = _load_vector_arg(given[name], name, inputs)
+    if "cost" in given:
+        try:
+            given["cost"] = parse_cost_spec(given["cost"])
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
 
 
 def _flatten(obj, prefix, rows):
@@ -193,7 +205,8 @@ def _to_csv(payload):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (payload, exit_code)
+# subcommand handlers: each returns (payload, exit_code), and reads the
+# space, vectors and cost that `_load_inputs` put in `args`
 
 
 def _cmd_space(args, inputs):
@@ -207,21 +220,18 @@ def _cmd_space(args, inputs):
 
 
 def _cmd_qtilde(args, inputs):
-    space = _load_space_arg(args.space, inputs)
-    f = _load_vector_arg(args.f, "f", inputs)
-    cost = _parse_cost(args.cost)
-    res = weak_infconv(f, args.t, cost, space)
-    dq = time_derivative(f, args.t, cost, space, result=res)
+    f, t, cost, space = args.f, args.t, args.cost, args.space
+    res = weak_infconv(f, t, cost, space)
     payload = {
-        "t": args.t,
+        "t": t,
         "cost": cost.label(),
         "values": res.values,
-        "derivative": dq,
+        "derivative": time_derivative(f, t, cost, space, result=res),
         "argmin": list(zip(res.u_min, res.u_max)),
     }
     code = 0
     if args.oracle:
-        ref = weak_infconv_bruteforce(f, args.t, cost, space)
+        ref = weak_infconv_bruteforce(f, t, cost, space)
         errors = abs(res.values - ref)
         payload["oracle_values"] = ref
         payload["oracle_max_error"] = float(errors.max())
@@ -232,16 +242,13 @@ def _cmd_qtilde(args, inputs):
 
 
 def _cmd_hj_verify(args, inputs):
-    space = _load_space_arg(args.space, inputs)
-    f = _load_vector_arg(args.f, "f", inputs)
-    cost = _parse_cost(args.cost)
     grid = _parse_grid(args.t_grid)
-    slices = hj_residuals(f, grid, cost, space)
-    payload = {"cost": cost.label(),
+    slices = hj_residuals(args.f, grid, args.cost, args.space)
+    payload = {"cost": args.cost.label(),
                "slices": [s.to_json_dict() for s in slices]}
     holds = all(s.holds for s in slices)
     if args.boundary:
-        boundary = hj_boundary(f, cost, space)
+        boundary = hj_boundary(args.f, args.cost, args.space)
         payload["boundary"] = boundary.to_json_dict()
         holds = holds and boundary.holds
     payload["holds"] = bool(holds)
@@ -249,19 +256,15 @@ def _cmd_hj_verify(args, inputs):
 
 
 def _cmd_obstruction(args, inputs):
-    space = _load_space_arg(args.space, inputs)
     grid = _parse_grid(args.t_grid) if args.t_grid else None
-    res = obstruction_search(space, t_grid=grid, trials=args.trials,
+    res = obstruction_search(args.space, t_grid=grid, trials=args.trials,
                              seed=args.seed)
     # the default family recovers f, so the status is witness or exhausted
     return res.to_json_dict(), 2 if res.status == "witness" else 0
 
 
 def _cmd_ttilde(args, inputs):
-    space = _load_space_arg(args.space, inputs)
-    nu = _load_vector_arg(args.nu, "nu", inputs)
-    mu = _load_vector_arg(args.mu, "mu", inputs)
-    cost = _parse_cost(args.cost)
+    nu, mu, cost, space = args.nu, args.mu, args.cost, args.space
     res = weak_transport_cost(nu, mu, cost, space)
     payload = {
         "cost": cost.label(),
@@ -283,29 +286,21 @@ def _cmd_ttilde(args, inputs):
 
 
 def _cmd_te_verify(args, inputs):
-    space = _load_space_arg(args.space, inputs)
-    mu = (_load_vector_arg(args.mu, "mu", inputs) if args.mu
-          else [1.0 / space.n] * space.n)
-    cost = _parse_cost(args.cost)
+    mu = uniform_measure(args.space.n) if args.mu is None else args.mu
     report = check_transport_entropy(
-        mu, args.C, cost, space, direction=args.direction,
+        mu, args.C, args.cost, args.space, direction=args.direction,
         n_samples=args.samples, seed=args.seed)
-    payload = report.to_json_dict()
-    return payload, 2 if report.violated else 0
+    return report.to_json_dict(), 2 if report.violated else 0
 
 
 def _cmd_constants(args, inputs):
-    space = _load_space_arg(args.space, inputs)
-    mu = _load_vector_arg(args.mu, "mu", inputs) if args.mu else None
-    payload = constants_report(space, mu, restarts=args.restarts,
+    payload = constants_report(args.space, args.mu, restarts=args.restarts,
                                seed=args.seed)
     return payload, 0
 
 
 def _cmd_chain_verify(args, inputs):
-    space = _load_space_arg(args.space, inputs)
-    mu = _load_vector_arg(args.mu, "mu", inputs) if args.mu else None
-    payload = chain_report(space, mu, C=args.C, restarts=args.restarts,
+    payload = chain_report(args.space, args.mu, C=args.C, restarts=args.restarts,
                            samples=args.samples, seed=args.seed)
     legs = [payload["mlsi"], payload["dual"], *payload["transport"].values(),
             *payload["hypercontractivity"]]
@@ -316,6 +311,8 @@ def _cmd_examples(args, inputs):
     inputs["example"] = _digest_obj({"report": args.which, "n": args.n})
     budget = {"restarts": args.restarts, "seed": args.seed}
     if args.which == "two-point":
+        if args.n is not None:
+            raise InputError(f"examples two-point takes no --n, got {args.n}")
         payload = two_point_report(**budget)
         return payload, 0 if payload["holds"] else 2
     size = {} if args.n is None else {"n": args.n}
@@ -437,6 +434,7 @@ def run(argv=None):
     start = time.monotonic()
     try:
         args = _build_parser().parse_args(argv)
+        _load_inputs(args, inputs)
         payload, code = args.handler(args, inputs)
     except (ValueError, SolverError) as exc:
         kind, field = next((k, a) for cls, k, a in _ERRORS if isinstance(exc, cls))

@@ -60,8 +60,8 @@ def _phi2(x, e1):
 
 
 def _entropy_scaled(F, mu):
-    """(ref, value) per row f of the stack F, with Ent_mu(e^f) = e^ref * value
-    and value >= 0.
+    """(ref, w, value) per row f of the stack F, with w = e^(f - ref) and
+    Ent_mu(e^f) = e^ref * value, value >= 0.
 
     Rows of range below 1 are assembled from expm1/log1p pieces that are
     individually sign-definite, so the relative error stays at machine
@@ -74,11 +74,11 @@ def _entropy_scaled(F, mu):
     near = hi - F.min(1) < 1.0
     if near.all():
         return _entropy_near(F, mu)
-    value = np.empty(len(F))
+    w, value = np.empty_like(F), np.empty(len(F))
     if near.any():
-        hi[near], value[near] = _entropy_near(F[near], mu)
-    value[~near] = _entropy_wide(F[~near] - hi[~near, None], mu)
-    return hi, value
+        hi[near], w[near], value[near] = _entropy_near(F[near], mu)
+    w[~near], value[~near] = _entropy_wide(F[~near] - hi[~near, None], mu)
+    return hi, w, value
 
 
 def _entropy_near(F, mu):
@@ -88,7 +88,8 @@ def _entropy_near(F, mu):
     e1 = np.expm1(delta)
     s = e1 @ mu
     t3 = np.array([(1.0 + v) * math.log1p(v) - v for v in s])
-    return mean, np.maximum((delta * e1) @ mu - _phi2(delta, e1) @ mu - t3, 0.0)
+    value = np.maximum((delta * e1) @ mu - _phi2(delta, e1) @ mu - t3, 0.0)
+    return mean, np.exp(delta), value
 
 
 def _entropy_wide(shifted, mu):
@@ -96,7 +97,7 @@ def _entropy_wide(shifted, mu):
     w = np.exp(shifted)
     total = w @ mu
     logs = np.array([math.log(v) for v in total])
-    return np.maximum((w * shifted) @ mu - total * logs, 0.0)
+    return w, np.maximum((w * shifted) @ mu - total * logs, 0.0)
 
 
 def entropy_exp(f, mu):
@@ -112,7 +113,7 @@ def entropy_exp(f, mu):
     f, mu = np.asarray(f, dtype=float)[supp], mu[supp]
     if np.ptp(f) == 0:
         return 0.0
-    ref, value = _entropy_scaled(f[None], mu)
+    ref, _, value = _entropy_scaled(f[None], mu)
     return math.exp(ref[0]) * float(value[0])
 
 
@@ -286,8 +287,7 @@ def _mlsi_ratio(F, G, mu, cost):
     # or the denominator vanishes
     conj = cost.conjugate(G)
     conj[~np.isfinite(conj).all(1)] = 0.0
-    ref, numer = _entropy_scaled(F, mu)
-    w = np.exp(F - ref[:, None])
+    ref, w, numer = _entropy_scaled(F, mu)
     denom = (conj * w) @ mu
     ratio = np.divide(numer, denom, out=np.full(len(F), -np.inf), where=denom > 1e-300)
     return ref, w, conj, ratio

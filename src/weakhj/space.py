@@ -2,8 +2,10 @@
 
 A space is a finite point set together with a validated distance matrix.
 Canonical families (two-point, path, cycle, complete, hypercube, symmetric
-group under transpositions) are built exactly; arbitrary spaces come from
-weighted graphs via all-pairs shortest paths or from an explicit matrix.
+group under transpositions) are built exactly, and `EXAMPLES` states each
+one's least size, point count and cap; arbitrary spaces come from weighted
+graphs via all-pairs shortest paths or from an explicit matrix.  Every
+example and graph is capped at 2^HYPERCUBE_MAX_N points.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-# 2^n points need 16 * 4^n bytes: the float distance matrix plus the int64
-# row sort order `MetricSpace.distance_groups` caches.  n = 12 takes 268 MB;
-# n = 13 would take 1.07 GB.  `build_from_graph` caps a graph at the same
-# 2^12 points.
+# n points need 16 n^2 bytes: the float distance matrix plus the int64 row
+# sort order `MetricSpace.distance_groups` caches.  Every example space and
+# graph is capped at the 2^12 = 4 096 points of hypercube:12, which take
+# 268 MB; hypercube:13 would take 1.07 GB.
 HYPERCUBE_MAX_N = 12
+_MAX_POINTS = 2 ** HYPERCUBE_MAX_N
 SYMMETRIC_GROUP_MAX_N = 5
 METRIC_TOL = 1e-9
 
@@ -149,19 +152,26 @@ def validate_metric(dist, labels=None):
     return MetricSpace(np.array(dist, dtype=float), labels)
 
 
+def _check_points(what, count, exact=True):
+    # CapacityError when `count` points, a lower bound unless `exact`,
+    # exceed the cap
+    if count > _MAX_POINTS:
+        least = "" if exact else "at least "
+        raise CapacityError(
+            f"{what} capped at {_MAX_POINTS} points, got {least}{count}: its distance "
+            f"matrix and row-order cache need {least}{16 * count * count} bytes")
+
+
 def build_from_graph(n, edges, labels=None):
     """Shortest-path metric of an undirected weighted graph.
 
     edges: iterable of (i, j, weight) with finite weight > 0, or (i, j) for
     unit weight; n and the endpoints must be integers.  Raises on
     unreachable pairs, loops and bad weights, and CapacityError, before
-    allocating, above the hypercube's point cap of 2^HYPERCUBE_MAX_N.
+    allocating, above the point cap of 2^HYPERCUBE_MAX_N.
     """
     n = as_count(n, "n")
-    if n > 2 ** HYPERCUBE_MAX_N:
-        raise CapacityError(
-            f"graph capped at {2 ** HYPERCUBE_MAX_N} points, got n={n}: its distance "
-            f"matrix and row-order cache need {16 * n * n} bytes")
+    _check_points("graph", n)
     weight = {}
     for e in edges:
         if len(e) == 2:
@@ -190,7 +200,18 @@ def build_from_graph(n, edges, labels=None):
     return validate_metric(d, labels=labels)
 
 
-def _hypercube_dist(n):
+def _line(n):
+    # |i - j| on the points 0 .. n-1, the path's metric
+    i = np.arange(n, dtype=float)
+    return np.abs(i[:, None] - i[None, :])
+
+
+def _cycle(n):
+    k = _line(n)
+    return np.minimum(k, n - k)
+
+
+def _hypercube(n):
     # Hamming distance as a product of 0/1 bit matrices: exact integers
     b = ((np.arange(2 ** n)[:, None] >> np.arange(n)) & 1).astype(float)
     return b @ (1.0 - b).T + (1.0 - b) @ b.T
@@ -211,42 +232,39 @@ def _symmetric_group(n):
     return build_from_graph(len(perms), edges, labels)
 
 
+# The example families, kind -> (least size, largest size or None, point
+# count at size n, builder).  two_point takes no size.  Every count is at
+# least n, so a size above the point cap is refused without counting.
+EXAMPLES = {
+    "two_point": (None, None, None, lambda: MetricSpace(1.0 - np.eye(2))),
+    "path": (2, None, lambda n: n, lambda n: MetricSpace(_line(n))),
+    "cycle": (3, None, lambda n: n, lambda n: MetricSpace(_cycle(n))),
+    "complete": (2, None, lambda n: n, lambda n: MetricSpace(1.0 - np.eye(n))),
+    "hypercube": (1, None, lambda n: 2 ** n, lambda n: MetricSpace(_hypercube(n))),
+    "symmetric_group": (2, SYMMETRIC_GROUP_MAX_N, math.factorial, _symmetric_group),
+}
+
+
 def build_example(kind, n=None):
-    """Canonical spaces: two_point, path(n), cycle(n), complete(n),
-    hypercube(n), symmetric_group(n)."""
-    if kind == "two_point":
-        return MetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    if kind == "path":
-        if n is None or n < 2:
-            raise ValueError("path requires n >= 2")
-        i = np.arange(n)
-        return MetricSpace(np.abs(i[:, None] - i[None, :]).astype(float))
-    if kind == "cycle":
-        if n is None or n < 3:
-            raise ValueError("cycle requires n >= 3")
-        i = np.arange(n)
-        k = np.abs(i[:, None] - i[None, :])
-        return MetricSpace(np.minimum(k, n - k).astype(float))
-    if kind == "complete":
-        if n is None or n < 2:
-            raise ValueError("complete requires n >= 2")
-        return MetricSpace(1.0 - np.eye(n))
-    if kind == "hypercube":
-        if n is None or n < 1:
-            raise ValueError("hypercube requires n >= 1")
-        if n > HYPERCUBE_MAX_N:
-            raise CapacityError(
-                f"hypercube capped at n={HYPERCUBE_MAX_N}, got {n}: its distance "
-                f"matrix and row-order cache need {16 * 4 ** n} bytes")
-        return MetricSpace(_hypercube_dist(n))
-    if kind == "symmetric_group":
-        if n is None or n < 2:
-            raise ValueError("symmetric_group requires n >= 2")
-        if n > SYMMETRIC_GROUP_MAX_N:
-            raise CapacityError(
-                f"symmetric_group capped at n={SYMMETRIC_GROUP_MAX_N}, got {n}")
-        return _symmetric_group(n)
-    raise ValueError(f"unknown example kind {kind!r}")
+    """The space `kind` of size n, a key of EXAMPLES: two_point (no size),
+    path(n), cycle(n), complete(n), hypercube(n), symmetric_group(n).
+
+    Raises ValueError on an unknown kind or a size that is not an integer
+    of at least the kind's least size, and CapacityError, before anything
+    is allocated, above the kind's largest size or the point cap."""
+    if kind not in EXAMPLES:
+        raise ValueError(f"unknown example kind {kind!r}")
+    least, most, points, build = EXAMPLES[kind]
+    if least is None:
+        if n is not None:
+            raise ValueError(f"{kind} takes no size, got {n!r}")
+        return build()
+    n = as_count(n, f"{kind} size", least)
+    if most is not None and n > most:
+        raise CapacityError(f"{kind} capped at n={most}, got {n}")
+    counted = n <= _MAX_POINTS
+    _check_points(f"{kind}:{n}", points(n) if counted else n, exact=counted)
+    return build(n)
 
 
 def load_space(obj):

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,7 @@ import pytest
 from weakhj.cli import _build_parser, _parse_grid, run
 from weakhj.cost import parse_cost_spec
 from weakhj.hj import hj_residual
-from weakhj.space import build_example
+from weakhj.space import EXAMPLES, build_example
 
 MANIFEST_KEYS = {"command", "inputs", "seed", "version", "wall_time_s"}
 
@@ -76,6 +77,23 @@ def test_space_validate_checks_integers_and_size(text, reason, tmp_path, capsys)
     path = tmp_path / "space.json"
     path.write_text(text)
     code = run(["space", "--validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in captured.out + captured.err
+    doc = json.loads(captured.out)
+    assert doc["error"]["type"] == "input"
+    assert reason in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("spec, reason", [
+    ("path:100000000", "capped at 4096 points"),
+    ("cycle:5000", "capped at 4096 points"),
+    ("complete:4097", "capped at 4096 points"),
+    ("two_point:7", "takes no size"),
+    ("path:2.5", "bad example size"),
+])
+def test_space_example_checks_size(spec, reason, capsys):
+    code = run(["space", "--example", spec])
     captured = capsys.readouterr()
     assert code == 1
     assert "Traceback" not in captured.out + captured.err
@@ -529,6 +547,10 @@ def test_readme_lists_every_command_and_example():
     assert set(sub.choices) <= {argv[0] for argv in listed}
     assert set(which.choices) <= {argv[1] for argv in listed
                                   if argv[0] == "examples"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    specs = readme.split("Space specs:", 1)[1].split("\n\n", 1)[0]
+    named = {spec.split(":")[0] for spec in re.findall(r"`([^`]+)`", specs)}
+    assert set(EXAMPLES) <= named
 
 
 def _strict_json(text):
@@ -638,6 +660,23 @@ def test_usage_error_is_error_object(argv, capsys):
     err = _strict_json(captured.out)["error"]
     assert err["type"] == "input"
     assert err["message"].startswith("weakhj")
+
+
+@pytest.mark.parametrize("command", ["te-verify --C 1", "constants", "chain-verify"])
+def test_empty_measure_is_input_error(command, capsys):
+    # an empty --mu is a malformed measure, not a request for the default
+    code, out = invoke(capsys, *command.split(), "--space", "two_point", "--mu", "")
+    assert code == 1
+    err = _strict_json(out)["error"]
+    assert err["type"] == "input" and "mu ''" in err["message"]
+
+
+def test_examples_two_point_takes_no_size(capsys):
+    code, out = invoke(capsys, "examples", "two-point", "--n", "5")
+    assert code == 1
+    err = _strict_json(out)["error"]
+    assert err["type"] == "input"
+    assert "takes no --n" in err["message"]
 
 
 @pytest.mark.parametrize("which", ["hypercube"])

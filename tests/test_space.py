@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from randspaces import example_spaces, random_connected_space
 from weakhj.calculus import distance_profile
 from weakhj.space import (
+    EXAMPLES,
     CapacityError,
     MetricViolation,
     as_count,
@@ -151,6 +153,41 @@ def test_capacity_limits():
         build_example("hypercube", 15)
     with pytest.raises(CapacityError):
         build_example("symmetric_group", 6)
+
+
+def test_every_example_kind_builds_its_least_size():
+    for kind, (least, _, points, _) in EXAMPLES.items():
+        if least is None:
+            assert build_example(kind).n == 2
+            continue
+        assert build_example(kind, least).n == points(least)
+        with pytest.raises(ValueError, match=f"{kind} size must be an integer >= "):
+            build_example(kind, least - 1)
+
+
+def test_example_size_must_be_an_integer():
+    for bad in (3.5, True, None, "3"):
+        with pytest.raises(ValueError, match="path size must be an integer"):
+            build_example("path", bad)
+    assert build_example("path", np.int64(3)).n == 3
+    with pytest.raises(ValueError, match="takes no size"):
+        build_example("two_point", 7)
+    with pytest.raises(ValueError, match="unknown example kind"):
+        build_example("torus", 3)
+
+
+@pytest.mark.parametrize("kind, n", [
+    ("path", 10 ** 8), ("cycle", 5000), ("complete", 4097), ("hypercube", 10 ** 8)])
+def test_point_cap_applies_before_allocating(kind, n):
+    # every kind is capped at 4096 points, and the refusal allocates nothing
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="capped at 4096 points"):
+            build_example(kind, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_hypercube_cap_states_memory_needed():
