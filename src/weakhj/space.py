@@ -4,8 +4,10 @@ A space is a finite point set together with a validated distance matrix.
 Canonical families (two-point, path, cycle, complete, hypercube, symmetric
 group under transpositions) are built exactly, and `EXAMPLES` states each
 one's least size, point count and cap; arbitrary spaces come from weighted
-graphs via all-pairs shortest paths or from an explicit matrix.  Every
-example and graph is capped at 2^HYPERCUBE_MAX_N points.
+graphs via all-pairs shortest paths or from an explicit matrix.  A graph
+is validated edge by edge, its closure being a metric by construction; an
+explicit matrix goes through `check_metric`.  Every example and graph is
+capped at 2^HYPERCUBE_MAX_N points.
 """
 
 from __future__ import annotations
@@ -58,8 +60,15 @@ class MetricViolation(ValueError):
 
 def check_metric(dist):
     """Return None if `dist` is a metric, else a dict naming the first
-    violated axiom with a witness index pair/triple; entries within
-    METRIC_TOL of an axiom count as meeting it."""
+    violated axiom with a witness index pair/triple.
+
+    Identity and positivity are absolute: |d_ii| <= METRIC_TOL, and
+    d_ij > METRIC_TOL off the diagonal.  Symmetry and the triangle
+    inequality are judged at the scale of the entries compared: d_ij and
+    d_ji may differ by METRIC_TOL (1 + the larger), and d_ik may exceed
+    d_ij + d_jk by METRIC_TOL (1 + d_ik), which covers the rounding of
+    distances summed along paths.  The triangle check is an O(n^3) loop,
+    run on outside matrices only: a graph's metric needs none."""
     d = np.asarray(dist, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         return {"axiom": "shape", "detail": f"expected square matrix, got {d.shape}"}
@@ -67,22 +76,24 @@ def check_metric(dist):
     if not np.all(np.isfinite(d)):
         i, j = np.argwhere(~np.isfinite(d))[0]
         return {"axiom": "finiteness", "witness": (int(i), int(j))}
-    for i in range(n):
-        if abs(d[i, i]) > METRIC_TOL:
-            return {"axiom": "identity", "witness": (i, i), "value": float(d[i, i])}
+    bad = np.flatnonzero(np.abs(np.diagonal(d)) > METRIC_TOL)
+    if bad.size:
+        i = int(bad[0])
+        return {"axiom": "identity", "witness": (i, i), "value": float(d[i, i])}
     off = ~np.eye(n, dtype=bool)
     bad = np.argwhere((d <= METRIC_TOL) & off)
     if bad.size:
         i, j = bad[0]
         return {"axiom": "positivity", "witness": (int(i), int(j)), "value": float(d[i, j])}
-    asym = np.argwhere(np.abs(d - d.T) > METRIC_TOL)
+    asym = np.argwhere(np.abs(d - d.T) > METRIC_TOL * (1.0 + np.maximum(d, d.T)))
     if asym.size:
         i, j = asym[0]
         return {"axiom": "symmetry", "witness": (int(i), int(j)),
                 "values": (float(d[i, j]), float(d[j, i]))}
+    # d_ik - (d_ij + d_jk) > METRIC_TOL (1 + d_ik), with d_ik moved to one side
+    top = d * (1.0 - METRIC_TOL) - METRIC_TOL
     for j in range(n):
-        slack = d - (d[:, j][:, None] + d[j, :][None, :])
-        bad = np.argwhere(slack > METRIC_TOL)
+        bad = np.argwhere(top > d[:, j][:, None] + d[j, :][None, :])
         if bad.size:
             i, k = bad[0]
             return {"axiom": "triangle", "witness": (int(i), int(j), int(k)),
@@ -165,10 +176,16 @@ def _check_points(what, count, exact=True):
 def build_from_graph(n, edges, labels=None):
     """Shortest-path metric of an undirected weighted graph.
 
-    edges: iterable of (i, j, weight) with finite weight > 0, or (i, j) for
-    unit weight; n and the endpoints must be integers.  Raises on
-    unreachable pairs, loops and bad weights, and CapacityError, before
+    edges: iterable of (i, j, weight) with finite weight > METRIC_TOL, or
+    (i, j) for unit weight; n and the endpoints must be integers.  Raises
+    on unreachable pairs, loops and bad weights, and CapacityError, before
     allocating, above the point cap of 2^HYPERCUBE_MAX_N.
+
+    The graph is checked once, as its edges.  Its shortest-path closure
+    is a metric by construction (zero on the diagonal, above METRIC_TOL
+    off it, symmetric and subadditive up to the rounding of path sums),
+    so it skips `check_metric`, whose O(n^3) loop takes seconds at a
+    thousand points.
     """
     n = as_count(n, "n")
     _check_points("graph", n)
@@ -184,20 +201,19 @@ def build_from_graph(n, edges, labels=None):
             raise ValueError(f"edge ({i},{j}) out of range for n={n}")
         if i == j:
             raise ValueError(f"loop edge at {i}")
-        if not 0 < w < math.inf:
-            raise ValueError(f"edge ({i},{j}) has non-positive or non-finite weight {w}")
+        if not METRIC_TOL < w < math.inf:
+            raise ValueError(f"edge ({i},{j}) has non-positive or non-finite weight {w}: "
+                             f"a weight must be finite and exceed METRIC_TOL = {METRIC_TOL}")
         key = (min(i, j), max(i, j))
         weight[key] = min(w, weight.get(key, w))  # parallel edges keep the shortest
-    rows = [i for i, _ in weight] + [j for _, j in weight]
-    cols = [j for _, j in weight] + [i for i, _ in weight]
-    vals = list(weight.values()) * 2
-    graph = csr_matrix((vals, (rows, cols)), shape=(n, n))
-    d = shortest_path(graph, method="D", directed=False)
+    rows, cols = [i for i, _ in weight], [j for _, j in weight]
+    graph = csr_matrix((list(weight.values()), (rows, cols)), shape=(n, n))
+    d = shortest_path(graph, method="D", directed=False)  # reads each edge both ways
     unreachable = np.argwhere(np.isinf(d))
     if unreachable.size:
         i, j = unreachable[0]
         raise ValueError(f"graph is disconnected: no path between {int(i)} and {int(j)}")
-    return validate_metric(d, labels=labels)
+    return MetricSpace(d, labels)
 
 
 def _line(n):

@@ -228,7 +228,7 @@ def _row_means(plan, mu, dist):
     return means
 
 
-def _line_search(mu, pos, means, dm, cost, gmax):
+def _line_search(mu, means, dm, cost, gmax):
     """Exact minimizer of g -> sum mu alpha(means + g dm) on [0, gmax],
     gmax > 0 (1.0, or a minimum of positive weight/step ratios):
     the root of the non-decreasing slope s(g) = sum mu dm alpha'(means +
@@ -236,7 +236,9 @@ def _line_search(mu, pos, means, dm, cost, gmax):
     method (`scipy.optimize.brentq`) to the last bits of g.  A slope that
     is nan counts as positive: a row mean that reaches 0 at gmax can land
     a rounding error below it, where a fractional power is nan."""
-    moving = pos & (dm != 0)  # rows that do not move add nothing
+    # rows that do not move add nothing; a mu-null row has row mean 0 in
+    # every atom (`_row_means`), so it never moves
+    moving = dm != 0
     w, m, d = mu[moving] * dm[moving], means[moving], dm[moving]
 
     def slope(g):
@@ -250,7 +252,7 @@ def _line_search(mu, pos, means, dm, cost, gmax):
     return brentq(slope, 0.0, gmax, xtol=2 * EPS * gmax, rtol=4 * EPS)
 
 
-def _master(M, lam, mu, pos, cost, tol):
+def _master(M, lam, mu, cost, tol):
     """Minimize F(lam) = sum_x mu(x) alpha((M^T lam)_x) over the simplex,
     where row k of M holds the row means of atom k, by projected Newton
     steps on the support of lam; the plans themselves are never read.
@@ -292,7 +294,7 @@ def _master(M, lam, mu, pos, cost, tol):
         # error below it, where a fractional power is nan: the search then
         # stops a hair short of the boundary
         with np.errstate(invalid="ignore"):
-            step = _line_search(mu, pos, means, y @ diff, cost, gmax)
+            step = _line_search(mu, means, y @ diff, cost, gmax)
         new = lam + step * d
         if step == gmax:
             new[np.flatnonzero(shrink)[ratios == gmax]] = 0.0
@@ -334,7 +336,6 @@ def weak_transport_cost(nu, mu, cost, space, gap_tol=1e-8, max_iter=10000):
     mu = as_measure(mu, space.n)
     nu = as_measure(nu, space.n)
     dist = space.dist
-    pos = mu > 0
     atoms = [np.outer(mu, nu)]
     M = _row_means(atoms[0], mu, dist)[None]
     lam = np.ones(1)
@@ -352,7 +353,7 @@ def weak_transport_cost(nu, mu, cost, space, gap_tol=1e-8, max_iter=10000):
         if (M == t_means).all(axis=1).any():
             break
         # the new vertex enters by one Frank-Wolfe step from the plan
-        gamma = _line_search(mu, pos, means, t_means - means, cost, 1.0)
+        gamma = _line_search(mu, means, t_means - means, cost, 1.0)
         if gamma <= 0:
             break
         if gamma >= 1.0:
@@ -362,7 +363,7 @@ def weak_transport_cost(nu, mu, cost, space, gap_tol=1e-8, max_iter=10000):
         M = np.vstack([M, t_means])
         lam = np.append((1.0 - gamma) * lam, gamma)
         if len(atoms) > 2:
-            kept, lam = _master(M, lam, mu, pos, cost, 1e-3 * gap_tol)
+            kept, lam = _master(M, lam, mu, cost, 1e-3 * gap_tol)
             atoms, M = [atoms[k] for k in kept], M[kept]
     value = float(mu @ cost.eval(lam @ M))
     pi = np.tensordot(lam, atoms, 1) if len(atoms) > 1 else atoms[0]

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from randspaces import heavy_graph
 from weakhj.cli import _build_parser, _parse_grid, run
 from weakhj.cost import parse_cost_spec
 from weakhj.hj import hj_residual
@@ -53,6 +54,20 @@ def test_space_validate_triangle_violation(tmp_path, capsys):
     assert err["detail"]["witness"] == [0, 1, 2]
 
 
+def test_space_validate_accepts_large_weight_graph(tmp_path, capsys):
+    # Dijkstra's rounding at weights near 1e6 is no metric violation, in
+    # the graph file or in its metric saved back as a distance file
+    n, edges = heavy_graph()
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"n": n, "edges": edges}))
+    code, doc = invoke_json(capsys, "space", "--validate", str(graph))
+    assert code == 0 and doc["result"]["n"] == 56
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps({"dist": doc["result"]["dist"]}))
+    code, again = invoke_json(capsys, "space", "--validate", str(dist))
+    assert code == 0 and again["result"]["dist"] == doc["result"]["dist"]
+
+
 @pytest.mark.parametrize("space", [
     {"dist": [[0, 1], [1, 0]], "labels": ["a"]},
     {"n": 3, "edges": [[0, 1], [1, 2]], "labels": [1, [2], None, "x"]},
@@ -72,7 +87,8 @@ def test_space_validate_rejects_bad_labels(space, tmp_path, capsys):
     ('{"n": 1e400, "edges": []}', "n must be an integer"),
     ('{"n": 100000000, "edges": [[0, 1]]}', "capped at 4096 points"),
     ('{"n": 3, "edges": [[0, 1.5], [1, 2.9]]}', "endpoint must be an integer"),
-], ids=["overflowing-n", "unallocatable-n", "fractional-endpoint"])
+    ('{"n": 2, "edges": [[0, 1, 1e-10]]}', "exceed METRIC_TOL = 1e-09"),
+], ids=["overflowing-n", "unallocatable-n", "fractional-endpoint", "tiny-weight"])
 def test_space_validate_checks_integers_and_size(text, reason, tmp_path, capsys):
     path = tmp_path / "space.json"
     path.write_text(text)

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from randspaces import example_spaces, random_connected_space
+from randspaces import example_spaces, heavy_graph, random_connected_space
 from weakhj.calculus import distance_profile
 from weakhj.space import (
     EXAMPLES,
@@ -62,6 +62,12 @@ def test_build_from_graph_errors():
         build_from_graph(2, [(0, 0)])
     with pytest.raises(ValueError, match="non-positive"):
         build_from_graph(2, [(0, 1, 0.0)])
+    # a weight at or below METRIC_TOL would give a distance check_metric
+    # calls non-positive, so the edge check refuses it and names the bound
+    for w in (1e-10, 1e-9):
+        with pytest.raises(ValueError, match="non-positive.*exceed METRIC_TOL = 1e-09"):
+            build_from_graph(2, [(0, 1, w)])
+    assert build_from_graph(2, [(0, 1, 2e-9)]).dist[0, 1] == 2e-9
     with pytest.raises(ValueError, match="out of range"):
         build_from_graph(2, [(0, 2)])
     for n in (3.7, True, float("inf")):
@@ -226,15 +232,51 @@ def test_validate_metric_accepts_and_reports():
 def test_check_metric_axioms():
     assert check_metric(np.array([[0.0, 1.0], [1.0, 0.0]])) is None
     assert check_metric(np.array([[0.5]]))["axiom"] == "identity"
+    d = 1.0 - np.eye(3)
+    d[1, 1], d[2, 2] = 0.5, -0.7
+    assert check_metric(d) == {"axiom": "identity", "witness": (1, 1), "value": 0.5}
     assert check_metric(np.array([[0.0, 0.0], [0.0, 0.0]]))["axiom"] == "positivity"
     assert check_metric(np.array([[0.0, -1.0], [-1.0, 0.0]]))["axiom"] == "positivity"
 
 
 def test_shortest_path_always_metric():
-    rng = np.random.default_rng(11)
-    for _ in range(40):
-        sp = random_connected_space(rng)
-        assert check_metric(sp.dist) is None
+    # build_from_graph trusts this invariant and runs no check of its own
+    for scale in (1.0, 1e6):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            sp = random_connected_space(rng, scale=scale)
+            assert check_metric(sp.dist) is None
+    n, edges = heavy_graph()
+    assert check_metric(build_from_graph(n, edges).dist) is None
+
+
+def test_build_from_graph_runs_no_metric_check(monkeypatch):
+    def refuse(dist):
+        raise AssertionError("check_metric called")
+
+    monkeypatch.setattr("weakhj.space.check_metric", refuse)
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        random_connected_space(rng)
+    assert build_from_graph(*heavy_graph()).n == 56
+    assert build_example("symmetric_group", 3).n == 6
+    with pytest.raises(AssertionError, match="check_metric called"):
+        validate_metric([[0, 1], [1, 0]])  # the patch is live
+
+
+def test_check_metric_tolerance_scales_with_the_entries():
+    # symmetry and the triangle inequality allow METRIC_TOL (1 + d) of
+    # the entries compared; identity and positivity stay absolute
+    big = np.array([[0.0, 1e6], [1e6 + 1e-4, 0.0]])
+    assert check_metric(big) is None
+    big[1, 0] = 1e6 + 1e-2
+    assert check_metric(big)["axiom"] == "symmetry"
+    tri = np.array([[0.0, 1e6, 2e6 + 1e-4], [1e6, 0.0, 1e6], [2e6 + 1e-4, 1e6, 0.0]])
+    assert check_metric(tri) is None
+    tri[0, 2] = tri[2, 0] = 2e6 + 1e-2
+    assert check_metric(tri)["witness"] == (0, 1, 2)
+    assert check_metric(np.array([[0.0, 1e-9], [1e-9, 0.0]]))["axiom"] == "positivity"
+    assert check_metric(np.array([[1e-8, 1e6], [1e6, 0.0]]))["axiom"] == "identity"
 
 
 def test_dist_matrix_is_immutable():

@@ -102,8 +102,11 @@ def test_linear_plan_matches_linprog():
         assert_allclose(np.sum(costs * plan), ref.fun, atol=1e-9)
 
 
-def _bisection_line_search(mu, pos, means, dm, cost, gmax):
-    # the reference: 80 halvings of [0, gmax] on the sign of the slope
+def _bisection_line_search(mu, means, dm, cost, gmax):
+    # the reference: 80 halvings of [0, gmax] on the sign of the slope,
+    # summed over the mu-charged rows only
+    pos = mu > 0
+
     def slope(g):
         return float(np.sum(mu[pos] * dm[pos] * cost.deriv(means[pos] + g * dm[pos])))
 
@@ -137,7 +140,7 @@ def test_line_search_matches_bisection(cost):
         target[rng.random(n) < 0.3] = 0.0
         gmax = (0.5, 1.0, 2.0)[k % 3]
         dm = (target - means) / gmax
-        args = (mu, mu > 0, means, dm, cost, gmax)
+        args = (mu, means, dm, cost, gmax)
         assert abs(_line_search(*args) - _bisection_line_search(*args)) <= 1e-12, k
 
     # every row mean grows, so the slope at 0 is >= 0 and the answer is 0;
@@ -149,7 +152,7 @@ def test_line_search_matches_bisection(cost):
         dm = rng.random(n)
         dm[rng.random(n) < 0.3] = 0.0
         dm[0] = 1.0
-        args = (mu, mu > 0, means, dm, cost, (0.5, 1.0, 2.0)[k % 3])
+        args = (mu, means, dm, cost, (0.5, 1.0, 2.0)[k % 3])
         assert _line_search(*args) == 0.0, k
         assert _bisection_line_search(*args) <= 1e-12, k
 
