@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .calculus import _infconv_times, tilde_gradient
+from .calculus import _HULL_BLOCK, _infconv_times, tilde_gradient
 from .cost import quadratic
 from .space import as_count, as_function, as_positive, jsonable
 
@@ -89,14 +89,15 @@ def hj_residuals(f, ts, cost, space):
 def _residual_pass(f, ts, cost, space):
     """The one stacked pass behind `hj_residuals`: the (T, n) values
     Q~_t f and derivatives d/dt Q~_t f = -beta(u*/t) over the grid ts,
-    and the residual reports built from them."""
+    and the residual reports built from them.  The gradients of all the
+    times come from one slope pass too (`_gradient_times`)."""
     ts = np.array([as_positive(t, "t") for t in ts])
     if not ts.size:
         raise ValueError("ts must contain positive times")
     f = as_function(f, space.n)
     _, _, values, _, _, u_star = _infconv_times(f, ts, cost, space)
     dq = -cost.beta(u_star / ts[:, None])
-    g = np.array([tilde_gradient(q, space) for q in values])
+    g = _gradient_times(values, space)
     bound = cost.conjugate_domain_bound()
     if math.isfinite(bound):
         # smoothing caps slopes at the saturation value, but the quotient
@@ -118,6 +119,23 @@ def _residual_pass(f, ts, cost, space):
             conjugate_infinite=infinite,
         ))
     return values, dq, reports
+
+
+def _gradient_times(values, space):
+    """`tilde_gradient` of every row of the (T, n) values, from one
+    (times, n, n) slope pass in blocks of at most _HULL_BLOCK slopes; the
+    same divisions and the same max, so every row is bit-identical."""
+    n = space.n
+    g = np.empty_like(values)
+    diag = np.arange(n)
+    step = max(1, _HULL_BLOCK // (n * n))
+    with np.errstate(invalid="ignore"):     # the diagonal 0/0
+        for r in range(0, len(values), step):
+            slopes = values[r:r + step, :, None] - values[r:r + step, None, :]
+            np.divide(slopes, space.dist, out=slopes)
+            slopes[:, diag, diag] = 0.0
+            g[r:r + step] = slopes.max(axis=2)
+    return g
 
 
 def hj_residual(f, t, cost, space):

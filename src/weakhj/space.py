@@ -7,7 +7,9 @@ one's least size, point count and cap; arbitrary spaces come from weighted
 graphs via all-pairs shortest paths or from an explicit matrix.  A graph
 is validated edge by edge, its closure being a metric by construction; an
 explicit matrix goes through `check_metric`.  Every example and graph is
-capped at 2^HYPERCUBE_MAX_N points.
+capped at 2^HYPERCUBE_MAX_N points.  SciPy is imported only inside
+`build_from_graph`, for Dijkstra, so every example space but the
+symmetric group, which is built from its Cayley graph, loads without it.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 # n points need 16 n^2 bytes: the float distance matrix plus the int64 row
 # sort order `MetricSpace.distance_groups` caches.  Every example space and
@@ -185,7 +185,9 @@ def build_from_graph(n, edges, labels=None):
     is a metric by construction (zero on the diagonal, above METRIC_TOL
     off it, symmetric and subadditive up to the rounding of path sums),
     so it skips `check_metric`, whose O(n^3) loop takes seconds at a
-    thousand points.
+    thousand points.  Dijkstra sums each path once from either end, and
+    the two sums can differ in the last bits; the smaller one is kept
+    for both entries, so `dist` is exactly symmetric.
     """
     n = as_count(n, "n")
     _check_points("graph", n)
@@ -206,6 +208,9 @@ def build_from_graph(n, edges, labels=None):
                              f"a weight must be finite and exceed METRIC_TOL = {METRIC_TOL}")
         key = (min(i, j), max(i, j))
         weight[key] = min(w, weight.get(key, w))  # parallel edges keep the shortest
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
     rows, cols = [i for i, _ in weight], [j for _, j in weight]
     graph = csr_matrix((list(weight.values()), (rows, cols)), shape=(n, n))
     d = shortest_path(graph, method="D", directed=False)  # reads each edge both ways
@@ -213,7 +218,7 @@ def build_from_graph(n, edges, labels=None):
     if unreachable.size:
         i, j = unreachable[0]
         raise ValueError(f"graph is disconnected: no path between {int(i)} and {int(j)}")
-    return MetricSpace(d, labels)
+    return MetricSpace(np.minimum(d, d.T), labels)
 
 
 def _line(n):

@@ -18,6 +18,8 @@ value.  For spaces with at most three points an independent oracle
 solves the same convex problem by one SLSQP solve over the plan.
 `dual_check` tests the exponential dual bound for one function; its
 sampled sweep is `funcineq.hypercontractivity_sweep` at (rho, t) = (0, 1).
+SciPy is imported only where it is called, by the line search (`brentq`)
+and by the oracle (SLSQP), so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, brentq, minimize
 
 from .funcineq import _sweep, hypercontractivity_check
 from .space import as_measure, as_positive
@@ -249,6 +250,7 @@ def _line_search(mu, means, dm, cost, gmax):
         return gmax
     if slope(0.0) >= 0:
         return 0.0
+    from scipy.optimize import brentq
     return brentq(slope, 0.0, gmax, xtol=2 * EPS * gmax, rtol=4 * EPS)
 
 
@@ -383,6 +385,8 @@ def transport_oracle_small(nu, mu, cost, space):
     left out.  Raises SolverError unless SLSQP converges (status 0) or
     stops at its line-search floor (8) with every marginal met to 1e-9.
     """
+    from scipy.optimize import Bounds, LinearConstraint, minimize
+
     n = space.n
     if n > 3:
         raise ValueError(f"oracle supports at most 3 points, space has {n}")

@@ -37,7 +37,7 @@ def heavy_graph():
     """(n, edges): the first graph drawn from default_rng(5), 56 points on
     a random spanning tree plus n random extra edges, weights in
     [0.3, 2] * 1e6.  Its shortest paths meet the triangle inequality only
-    up to rounding: d(36, 44) = 6471489.990668815 exceeds d(36, 30) +
+    up to rounding: d(36, 44) = 6471489.990668814 exceeds d(36, 30) +
     d(30, 44) = 6471489.990668813."""
     rng = np.random.default_rng(5)
     n = int(rng.integers(10, 80))

@@ -496,7 +496,8 @@ def test_oracle_failure_is_error_object(capsys, monkeypatch):
         return OptimizeResult(x=np.asarray(x0), status=9, success=False,
                               message="Iteration limit reached")
 
-    monkeypatch.setattr(transport, "minimize", stopped)
+    # the oracle imports minimize when it is called, so patch it at its source
+    monkeypatch.setattr("scipy.optimize.minimize", stopped)
     with pytest.raises(transport.SolverError, match="status 9"):
         transport.transport_oracle_small([1.0, 0.0], [0.5, 0.5], quadratic(),
                                          build_example("two_point"))
@@ -530,6 +531,47 @@ def test_module_entry_point_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["n"] == 2
+
+
+COLD_PATH = """
+import contextlib, io, json, sys
+import weakhj, weakhj.cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        codes.append(weakhj.cli.run(argv))
+print(json.dumps({"codes": codes, "last": json.loads(out.getvalue()),
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.startswith(("scipy.optimize", "scipy.sparse")))}))
+"""
+
+
+def _cold_run(*argvs):
+    # a fresh interpreter: the modules it holds are those these calls load
+    proc = subprocess.run([sys.executable, "-c", COLD_PATH, json.dumps(argvs)],
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_example_spaces_load_no_scipy():
+    cold = _cold_run(
+        ["space", "--example", "cycle:6"],
+        ["qtilde", "--space", "hypercube:3", "--f", "0,1,1,2,1,2,2,3", "--t", "0.5",
+         "--oracle"],
+        ["hj-verify", "--space", "path:8", "--f", "0,1,3,2,1,0,2,4", "--boundary"],
+        ["obstruction", "--space", "path:3"])
+    assert cold["codes"] == [0, 0, 0, 2]   # obstruction exits 2 on its witness
+    assert cold["scipy"] == []
+
+
+def test_graph_file_builds_in_a_fresh_interpreter(tmp_path):
+    # the graph path imports SciPy itself
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"n": 3, "edges": [[0, 1, 1.0], [1, 2, 2.0]]}))
+    cold = _cold_run(["space", "--validate", str(path)])
+    assert cold["codes"] == [0]
+    assert cold["last"]["result"]["dist"] == [[0.0, 1.0, 3.0], [1.0, 0.0, 2.0],
+                                             [3.0, 2.0, 0.0]]
 
 
 def test_version_flag(capsys):

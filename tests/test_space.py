@@ -250,6 +250,17 @@ def test_shortest_path_always_metric():
     assert check_metric(build_from_graph(n, edges).dist) is None
 
 
+def test_graph_metric_is_exactly_symmetric():
+    # Dijkstra sums a path from each end; the two sums can differ in the
+    # last bits, and build_from_graph keeps the smaller for both entries
+    spaces = [build_from_graph(*heavy_graph())]
+    for scale in (1.0, 1e6):
+        rng = np.random.default_rng(13)
+        spaces += [random_connected_space(rng, n_max=40, scale=scale) for _ in range(40)]
+    for sp in spaces:
+        assert np.array_equal(sp.dist, sp.dist.T)
+
+
 def test_build_from_graph_runs_no_metric_check(monkeypatch):
     def refuse(dist):
         raise AssertionError("check_metric called")
