@@ -8,8 +8,8 @@ graphs via all-pairs shortest paths or from an explicit matrix.  A graph
 is validated edge by edge, its closure being a metric by construction; an
 explicit matrix goes through `check_metric`.  Every example and graph is
 capped at 2^HYPERCUBE_MAX_N points.  SciPy is imported only inside
-`build_from_graph`, for Dijkstra, so every example space but the
-symmetric group, which is built from its Cayley graph, loads without it.
+`build_from_graph`, for Dijkstra, so every example space loads without
+it.
 """
 
 from __future__ import annotations
@@ -239,18 +239,21 @@ def _hypercube(n):
 
 
 def _symmetric_group(n):
-    """S_n under the transposition metric: the shortest-path metric of its
-    Cayley graph, whose edges swap two entries of a permutation."""
-    perms = list(itertools.permutations(range(n)))
-    index = {p: k for k, p in enumerate(perms)}
-    edges = []
-    for a, p in enumerate(perms):
-        for i, j in itertools.combinations(range(n), 2):
-            q = list(p)
-            q[i], q[j] = q[j], q[i]
-            edges.append((a, index[tuple(q)]))
-    labels = tuple("".join(str(v) for v in p) for p in perms)
-    return build_from_graph(len(perms), edges, labels)
+    """S_n under the transposition metric: d(p, q) = n - (number of cycles
+    of p^-1 q), the fewest swaps of two entries that turn p into q."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    inv = np.argsort(perms, axis=1)
+    # comp[a, b] = p_a^-1 o p_b, as the list of its images
+    comp = inv[np.arange(len(perms))[:, None, None], perms]
+    # a point opens a cycle iff it is the least point of its orbit
+    point = np.broadcast_to(np.arange(n), comp.shape)
+    low = point
+    for _ in range(n - 1):
+        point = np.take_along_axis(comp, point, axis=2)
+        low = np.minimum(low, point)
+    cycles = (low == np.arange(n)).sum(axis=2)
+    labels = tuple("".join(str(v) for v in p) for p in perms.tolist())
+    return MetricSpace((n - cycles).astype(float), labels)
 
 
 # The example families, kind -> (least size, largest size or None, point

@@ -119,92 +119,204 @@ class TransportResult:
 
 
 # ---------------------------------------------------------------------------
-# linear transport subproblem: successive shortest paths, each found by
-# Bellman-Ford label correction over the residual graph
+# linear transport subproblem: the transportation simplex, which is the
+# network simplex on the bipartite graph of supply rows and demand columns
 
 
 class SolverError(RuntimeError):
     """The linear transport subproblem failed to reach a feasible plan."""
 
 
-def _ot_plan(costs, supply, demand):
-    """Exact minimum-cost transportation plan between two histograms:
-    successive shortest paths in the residual graph (an arc i -> j at cost
-    c_ij, and j -> i at -c_ij wherever the plan ships i -> j).  The negative
-    arcs call for Bellman-Ford; a label moves only when it improves by more
-    than `tol`, so a tie cannot let the parent pointers close a cycle.  Each
-    pass gathers a label's minimum from one argmin and updates labels and
-    parents in place where they improve.
-
-    Every caller's cost is square, non-negative and zero on the diagonal
-    (a multiple of the metric, row by row).  For such a cost the paths
-    start from the plan that ships min(supply, demand) from each point to
-    itself: it is optimal for the masses it ships, because every cycle of
-    its residual graph costs at least 0, and it takes the place of the
-    augmentations that would each ship along one zero-cost arc x -> x."""
+def _greedy_plan(costs, sup, dem):
+    """The least-cost greedy plan: each cell in increasing order of cost
+    ships all it can.  A square cost that is non-negative and zero on the
+    diagonal (every caller's, a metric scaled row by row) first ships
+    min(supply, demand) from each point to itself.  Each shipment exhausts
+    its row or its column exactly, so the positive cells form a forest."""
     ns, nd = costs.shape
-    sup = np.array(supply, dtype=float)
-    dem = np.array(demand, dtype=float)
     flow = np.zeros((ns, nd))
+    s, d = sup.tolist(), dem.tolist()
     if ns == nd and costs.min() >= 0 and not np.diagonal(costs).any():
-        ship = np.minimum(sup, dem)
-        np.fill_diagonal(flow, ship)
-        sup -= ship  # one of the two becomes exactly 0
-        dem -= ship
-    tol = 1e-12 * (1.0 + float(np.max(np.abs(costs))))
-    rows, cols = np.arange(ns), np.arange(nd)
-    for _ in range(40 * (ns + nd) + 200):
-        if not (sup > 1e-15).any():
+        for i in range(ns):
+            ship = flow[i, i] = min(s[i], d[i])
+            s[i] -= ship  # one of the two becomes exactly 0
+            d[i] -= ship
+    rows = [i for i in range(ns) if s[i] > 0]
+    cols = [j for j in range(nd) if d[j] > 0]
+    left_s, left_d = len(rows), len(cols)
+    # a stable sort of the cells left keeps the order of the whole matrix
+    for k in np.argsort(costs[rows][:, cols], axis=None, kind="stable").tolist():
+        if not (left_s and left_d):
             break
-        ds = np.where(sup > 1e-15, 0.0, np.inf)
-        dd = np.full(nd, np.inf)
-        par_s = np.full(ns, -1)
-        par_d = np.full(nd, -1)
-        back = np.where(flow > 1e-18, -costs, np.inf)
-        for _ in range(ns + nd):
-            reach = ds[:, None] + costs
-            arg = reach.argmin(axis=0)
-            best = reach[arg, cols]
-            upd = best < dd - tol
-            np.copyto(par_d, arg, where=upd)
-            np.copyto(dd, best, where=upd)
-            reach = back + dd
-            arg = reach.argmin(axis=1)
-            best = reach[rows, arg]
-            upd = best < ds - tol
-            if not upd.any():
-                break  # the next sink labels would repeat these
-            np.copyto(par_s, arg, where=upd)
-            np.copyto(ds, best, where=upd)
-        else:
-            raise SolverError("transport subproblem: path traces a cycle")
-        sinks = np.flatnonzero((dem > 1e-15) & (dd < np.inf))
-        if sinks.size == 0:
-            raise SolverError("transport subproblem: no augmenting path")
-        t = int(sinks[np.argmin(dd[sinks])])
-        y = t
-        amount = dem[t]
-        path = []
-        while True:
-            if len(path) > 2 * (ns + nd) + 4:
-                raise SolverError("transport subproblem: path traces a cycle")
-            x = int(par_d[y])
-            path.append((x, y, 1.0))
-            if par_s[x] == -1:
-                amount = min(amount, sup[x])
-                break
-            y = int(par_s[x])
-            path.append((x, y, -1.0))
-            amount = min(amount, flow[x, y])
-        for a, b, sign in path:
-            flow[a, b] += sign * amount
-        sup[x] -= amount  # amount <= sup[x], dem[t]: no rounding below 0
-        dem[t] -= amount
-    if sup.max() > 1e-10 or dem.max() > 1e-10:
-        raise SolverError(
-            f"transport subproblem not converged: residuals {sup.max():.3e} {dem.max():.3e}"
-        )
+        i, j = rows[k // len(cols)], cols[k % len(cols)]
+        a, b = s[i], d[j]
+        if a > 0 and b > 0:
+            ship = flow[i, j] = a if a < b else b
+            s[i], d[j] = a - ship, b - ship
+            left_s -= s[i] == 0
+            left_d -= d[j] == 0
     return flow
+
+
+def _simplex(c, flow, tol):
+    """Optimal plan for the cost c from the feasible plan `flow`, whose
+    positive cells form a forest; every row and column has positive mass.
+
+    Nodes 0..ns-1 are the rows, ns.. the columns; the basis is a spanning
+    tree rooted at row 0, held as parent pointers, the flow of each node's
+    edge to its parent, depths and children.  The positive cells are
+    completed by cells at flow 0, each hanging a further component by one
+    of its rows from a column already in the tree, so every zero edge
+    points towards the root: the tree is strongly feasible."""
+    ns, nd = c.shape
+    n = ns + nd
+    cl = c.tolist()
+
+    def cost(x, y):  # of the cell joining nodes x and y
+        return cl[x][y - ns] if x < ns else cl[y][x - ns]
+
+    adj = [[] for _ in range(n)]
+    ii, jj = np.nonzero(flow > 0)
+    for i, j, f in zip(ii.tolist(), jj.tolist(), flow[ii, jj].tolist()):
+        adj[i].append((ns + j, f))
+        adj[ns + j].append((i, f))
+    par, fl, depth, pot = [-1] * n, [0.0] * n, [0] * n, [0.0] * n
+    kids = [[] for _ in range(n)]
+    intree = [True] + [False] * (n - 1)
+
+    def grow(stack):
+        # hang each (node, parent, flow) and the positive cells below it
+        while stack:
+            x, p, f = stack.pop()
+            if intree[x]:
+                raise ValueError("start plan: its positive cells contain a cycle")
+            intree[x] = True
+            par[x], fl[x], depth[x] = p, f, depth[p] + 1
+            pot[x] = cost(x, p) - pot[p]
+            kids[p].append(x)
+            stack.extend((y, x, g) for y, g in adj[x] if y != p)
+
+    grow([(y, 0, f) for y, f in adj[0]])
+    for _ in range(2):  # a column no positive cell reaches hangs from a row
+        for x in range(1, n):
+            if not intree[x]:
+                other = [y for y in (range(ns, n) if x < ns else range(ns)) if intree[y]]
+                if other:
+                    grow([(x, min(other, key=lambda y: cost(x, y)), 0.0)])
+
+    pot = np.array(pot)
+    sign = np.ones(n)
+    sign[ns:] = -1.0
+    cap = 40 * n + 200
+    for _ in range(cap):
+        red = c - pot[:ns, None] - pot[ns:]
+        k = int(red.argmin())
+        r = float(red.flat[k])
+        if r >= -tol:
+            break
+        i, j = divmod(k, nd)
+        j += ns
+        # the pivot cycle: the entering cell i -> j, then the tree path
+        # from j up to the apex and down to i
+        a, b, up_i, up_j = i, j, [], []
+        while depth[a] > depth[b]:
+            up_i.append(a)
+            a = par[a]
+        while depth[b] > depth[a]:
+            up_j.append(b)
+            b = par[b]
+        while a != b:
+            up_i.append(a)
+            a = par[a]
+            up_j.append(b)
+            b = par[b]
+        # along the cycle, flow falls on a column's edge to its parent on
+        # the j side and on a row's edge on the i side.  The leaving edge
+        # is the last blocking one from the apex: on the j side the one
+        # nearest the apex, else on the i side the one nearest i
+        delta, out, cut = math.inf, -1, j
+        for x in up_j:
+            if x >= ns and fl[x] <= delta:
+                delta, out = fl[x], x
+        for x in up_i:
+            if x < ns and fl[x] < delta:
+                delta, out, cut = fl[x], x, i
+        if delta > 0:
+            for x in up_j:
+                fl[x] += -delta if x >= ns else delta
+            for x in up_i:
+                fl[x] += -delta if x < ns else delta
+        # the subtree below `out` holds `cut`: turn the path from cut up
+        # to out around and hang cut from the other end of the entry
+        x, p, f = cut, i + j - cut, delta
+        while True:
+            q, g = par[x], fl[x]
+            kids[q].remove(x)
+            par[x], fl[x] = p, f
+            kids[p].append(x)
+            if x == out:
+                break
+            x, p, f = q, x, g
+        moved, stack = [], [cut]
+        while stack:
+            x = stack.pop()
+            moved.append(x)
+            depth[x] = depth[par[x]] + 1
+            stack.extend(kids[x])
+        # u_i + v_j = c_ij on the entry: rows of the subtree move by the
+        # reduced cost one way, its columns the other
+        pot[moved] += (r if cut == i else -r) * sign[moved]
+    else:
+        raise SolverError(f"transport subproblem: no optimum after {cap} pivots")
+    plan = np.zeros((ns, nd))
+    for x in range(1, n):
+        if x < ns:
+            plan[x, par[x] - ns] = fl[x]
+        else:
+            plan[par[x], x - ns] = fl[x]
+    return plan
+
+
+def _ot_plan(costs, supply, demand, start=None):
+    """Exact minimum-cost transportation plan between two histograms, by
+    the transportation simplex on the points of positive mass (`_simplex`).
+
+    The basis starts from `start`, a feasible plan whose positive cells
+    form a forest, such as an earlier return for the same histograms, or
+    else from the least-cost greedy plan (`_greedy_plan`).  Each pivot
+    enters the cell of least reduced cost c_ij - u_i - v_j, one argmin
+    over the potentials of the tree, and the plan is optimal once none is
+    below -1e-12 (1 + max|c|).  The leaving cell is the last blocking cell
+    met along the pivot cycle from its apex (Cunningham's rule), which
+    keeps the tree strongly feasible, so degenerate pivots cannot cycle.
+    Cells off the tree carry exactly 0: the plan has at most ns + nd - 1
+    positive cells and is a valid start for the next call.  Raises
+    SolverError on a cost that is not finite, after 40 (ns + nd) + 200
+    pivots, or when the plan misses a histogram by more than 1e-10 (the
+    two do not balance, or `start` does not meet them)."""
+    costs = np.asarray(costs, dtype=float)
+    sup = np.asarray(supply, dtype=float)
+    dem = np.asarray(demand, dtype=float)
+    top = float(np.abs(costs).max())
+    if not math.isfinite(top):
+        raise SolverError("transport subproblem: costs are not finite")
+    tol = 1e-12 * (1.0 + top)
+    flow = _greedy_plan(costs, sup, dem) if start is None else np.asarray(start, dtype=float)
+    rows, cols = sup > 0, dem > 0
+    if rows.all() and cols.all():  # no copies: a quarter of a 2 x 2 call
+        plan = _simplex(costs, flow, tol)
+    else:
+        plan = np.zeros(costs.shape)
+        if rows.any() and cols.any():
+            cells = np.ix_(rows, cols)
+            plan[cells] = _simplex(costs[cells], flow[cells], tol)
+    miss_s = float(np.abs(plan.sum(axis=1) - sup).max())
+    miss_d = float(np.abs(plan.sum(axis=0) - dem).max())
+    if miss_s > 1e-10 or miss_d > 1e-10:
+        raise SolverError(
+            f"transport subproblem not converged: residuals {miss_s:.3e} {miss_d:.3e}"
+        )
+    return plan
 
 
 def classical_transport_cost(nu, mu, cost, space):
@@ -234,9 +346,12 @@ def _line_search(mu, means, dm, cost, gmax):
     gmax > 0 (1.0, or a minimum of positive weight/step ratios):
     the root of the non-decreasing slope s(g) = sum mu dm alpha'(means +
     g dm), bracketed by its signs at the two ends and found by Brent's
-    method (`scipy.optimize.brentq`) to the last bits of g.  A slope that
-    is nan counts as positive: a row mean that reaches 0 at gmax can land
-    a rounding error below it, where a fractional power is nan."""
+    method (`scipy.optimize.brentq`) to the last bits of g.  Where the
+    slope's last bits are rounding noise, Brent's method can stall short
+    of that tolerance; its last iterate, inside the bracket, is taken
+    after its 100 steps.  A slope that is nan counts as positive: a row
+    mean that reaches 0 at gmax can land a rounding error below it, where
+    a fractional power is nan."""
     # rows that do not move add nothing; a mu-null row has row mean 0 in
     # every atom (`_row_means`), so it never moves
     moving = dm != 0
@@ -251,7 +366,7 @@ def _line_search(mu, means, dm, cost, gmax):
     if slope(0.0) >= 0:
         return 0.0
     from scipy.optimize import brentq
-    return brentq(slope, 0.0, gmax, xtol=2 * EPS * gmax, rtol=4 * EPS)
+    return brentq(slope, 0.0, gmax, xtol=2 * EPS * gmax, rtol=4 * EPS, disp=False)
 
 
 def _master(M, lam, mu, cost, tol):
@@ -316,7 +431,9 @@ def weak_transport_cost(nu, mu, cost, space, gap_tol=1e-8, max_iter=10000):
     of a run is the matrix M of the atoms' row means (one row per atom)
     and their weights lam; the current row means are lam @ M.  Each round
     linearizes there and solves the induced classical transport problem
-    exactly (`_ot_plan`); the linearization gap against that vertex,
+    exactly (`_ot_plan`), starting from the previous round's vertex: mu
+    and nu never change within a solve, so that plan stays feasible and
+    a few pivots re-optimize it.  The linearization gap against the vertex,
     sum_x mu(x) alpha'(m_x) (m_x - t_x) with t the vertex's row means,
     bounds the distance to the optimum, and the run stops once the gap
     is below gap_tol or at its rounding floor, whichever is larger.  The
@@ -341,11 +458,12 @@ def weak_transport_cost(nu, mu, cost, space, gap_tol=1e-8, max_iter=10000):
     atoms = [np.outer(mu, nu)]
     M = _row_means(atoms[0], mu, dist)[None]
     lam = np.ones(1)
+    target = None
     gap, converged, it = math.inf, False, 0
     for it in range(1, max_iter + 1):
         means = lam @ M
         deriv = cost.deriv(means)
-        target = _ot_plan(deriv[:, None] * dist, mu, nu)
+        target = _ot_plan(deriv[:, None] * dist, mu, nu, start=target)
         t_means = _row_means(target, mu, dist)
         slope = mu * deriv
         gap = float(slope @ (means - t_means))

@@ -559,8 +559,9 @@ def test_example_spaces_load_no_scipy():
         ["qtilde", "--space", "hypercube:3", "--f", "0,1,1,2,1,2,2,3", "--t", "0.5",
          "--oracle"],
         ["hj-verify", "--space", "path:8", "--f", "0,1,3,2,1,0,2,4", "--boundary"],
-        ["obstruction", "--space", "path:3"])
-    assert cold["codes"] == [0, 0, 0, 2]   # obstruction exits 2 on its witness
+        ["obstruction", "--space", "path:3"],
+        ["space", "--example", "symmetric_group:4"])
+    assert cold["codes"] == [0, 0, 0, 2, 0]   # obstruction exits 2 on its witness
     assert cold["scipy"] == []
 
 

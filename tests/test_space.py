@@ -1,5 +1,6 @@
 """Tests for finite metric spaces, measures and file I/O."""
 
+import itertools
 import json
 import math
 import tracemalloc
@@ -140,6 +141,24 @@ def test_symmetric_group_is_n_minus_cycles(n):
                         seen.add(s)
                         s = int(comp[s])
             assert sp.dist[a, b] == n - cycles
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_symmetric_group_matches_its_cayley_graph(n):
+    # the closed form is the shortest-path metric of the graph whose edges
+    # swap two entries of a permutation, bit for bit
+    sp = build_example("symmetric_group", n)
+    perms = list(itertools.permutations(range(n)))
+    index = {p: k for k, p in enumerate(perms)}
+    edges = []
+    for a, p in enumerate(perms):
+        for i, j in itertools.combinations(range(n), 2):
+            q = list(p)
+            q[i], q[j] = q[j], q[i]
+            edges.append((a, index[tuple(q)]))
+    graph = build_from_graph(len(perms), edges, sp.labels)
+    assert np.array_equal(sp.dist, graph.dist)
+    assert sp.labels == graph.labels == tuple("".join(map(str, p)) for p in perms)
 
 
 def test_jsonable_maps_to_plain_json():

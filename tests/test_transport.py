@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,6 +81,32 @@ def _linear_plan_cases():
             sup = rng.integers(0, 3, n).astype(float) + (np.arange(n) == 0)
             dem = rng.integers(0, 3, n).astype(float) + (np.arange(n) == n - 1)
         yield scale[:, None] * sp.dist, sup / sup.sum(), dem / dem.sum()
+    for dist, scale, sup, dem in _row_scaled_problems(rng):
+        yield scale[:, None] * dist, sup, dem
+
+
+def _row_scaled_problems(rng):
+    # the sizes of the sweeps: 16 and 32 points, where the plans have many
+    # degenerate bases.  Integer scales and the integer metrics tie almost
+    # everywhere; integer masses and the sweep's two-point measures put
+    # zeros in the histograms
+    for k, spec in enumerate(["hypercube:4", "cycle:16", "hypercube:5", "cycle:32"] * 4):
+        kind, size = spec.split(":")
+        sp = build_example(kind, int(size))
+        n = sp.n
+        scale = rng.integers(0, 3, n).astype(float)
+        if k // 4 == 1:
+            scale = rng.random(n)
+        if k // 4 == 3:
+            scale *= rng.random(n)
+        if k // 4 == 0:
+            sup = rng.integers(0, 3, n).astype(float) + (np.arange(n) == 0)
+            dem = rng.integers(0, 3, n).astype(float) + (np.arange(n) == n - 1)
+        elif k // 4 == 2:
+            sup, dem = np.ones(n), _sample_measure(rng, n, 1)
+        else:
+            sup, dem = rng.dirichlet(np.full(n, 0.5)), rng.dirichlet(np.ones(n))
+        yield sp.dist, scale, sup / sup.sum(), dem / dem.sum()
 
 
 def test_linear_plan_matches_linprog():
@@ -87,6 +114,8 @@ def test_linear_plan_matches_linprog():
         ns, nd = costs.shape
         plan = _ot_plan(costs, sup, dem)
         assert plan.min() >= 0.0
+        # the positive cells lie on a spanning tree of the rows and columns
+        assert np.count_nonzero(plan) <= ns + nd - 1
         assert_allclose(plan.sum(axis=1), sup, atol=1e-10)
         assert_allclose(plan.sum(axis=0), dem, atol=1e-10)
         a_eq = np.zeros((ns + nd - 1, ns * nd))
@@ -100,6 +129,22 @@ def test_linear_plan_matches_linprog():
         )
         assert ref.success
         assert_allclose(np.sum(costs * plan), ref.fun, atol=1e-9)
+
+
+def test_linear_plan_warm_start_reaches_cold_optimum():
+    # a start is any plan for the same histograms: here the optimum of a
+    # different scaling of the rows, as in consecutive rounds of a solve
+    rng = np.random.default_rng(9)
+    for k, (dist, scale, sup, dem) in enumerate(_row_scaled_problems(rng)):
+        costs = scale[:, None] * dist
+        cold = float(np.sum(costs * _ot_plan(costs, sup, dem)))
+        other = rng.integers(0, 3, sup.size) if k % 2 else rng.random(sup.size)
+        start = _ot_plan(other[:, None] * dist, sup, dem)
+        plan = _ot_plan(costs, sup, dem, start=start)
+        assert np.count_nonzero(plan) <= costs.shape[0] + costs.shape[1] - 1
+        assert_allclose(plan.sum(axis=1), sup, atol=1e-10)
+        assert_allclose(plan.sum(axis=0), dem, atol=1e-10)
+        assert abs(float(np.sum(costs * plan)) - cold) <= 1e-12 * cold, k
 
 
 def _bisection_line_search(mu, means, dm, cost, gmax):
@@ -155,6 +200,28 @@ def test_line_search_matches_bisection(cost):
         args = (mu, means, dm, cost, (0.5, 1.0, 2.0)[k % 3])
         assert _line_search(*args) == 0.0, k
         assert _bisection_line_search(*args) <= 1e-12, k
+
+
+@pytest.mark.parametrize("mu, means, dm, gmax", [
+    ([0.5124012340371228, 0.07118582750962531, 0.41641293845325195],
+     [0.6223539102496383, 1.0927709290006686, 1.4977004843937993],
+     [-2.8196429602634748e-09, 1.505365553105362e-09, 1.2539931549924946e-09], 1e5),
+    ([0.28894815873881113, 0.17650840726633374, 0.03982388097685222,
+      0.16042761997547483, 0.3342919330425281],
+     [1.1906820422799285, 1.4418143451691021, 1.1172388237074093,
+      1.4244139588500908, 0.7031275704432784],
+     [-1.0274479475570285e-11, 1.3497951981604606e-11, -1.1790114511943675e-12,
+      -6.9632956280273505e-12, 7.417315360004722e-12], 1e7),
+])
+def test_line_search_on_a_slope_of_rounding_noise(mu, means, dm, gmax):
+    # the slope at 0 cancels to rounding, so its last bits are noise near
+    # the root and Brent's method cannot meet its tolerance in 100 steps;
+    # its last iterate is still next to the exact minimizer of this
+    # quadratic, -sum(mu dm means) / sum(mu dm^2), taken in rationals
+    g = _line_search(np.array(mu), np.array(means), np.array(dm), quadratic(), gmax)
+    exact = (-sum(Fraction(a) * Fraction(b) * Fraction(c) for a, b, c in zip(mu, dm, means))
+             / sum(Fraction(a) * Fraction(b) ** 2 for a, b in zip(mu, dm)))
+    assert abs(g - float(exact)) <= 1e-11 * gmax
 
 
 @pytest.mark.parametrize("sup, dem", [
@@ -320,6 +387,27 @@ def test_oracle_value_is_that_of_a_feasible_plan():
     nu = np.array([0.9485288291769219, 0.051471170823078075, 0.0])
     res = weak_transport_cost(nu, mu, power(p=3), sp, gap_tol=1e-12)
     assert_in_bracket(transport_oracle_small(nu, mu, power(p=3), sp), res)
+
+
+def _complete_graph_cost(nu, mu, cost):
+    # on complete:n every distance is 1, so a row's mean distance is the
+    # share of its mass it moves: at least (1 - nu/mu)+, and that much is
+    # enough, each point keeping min(mu, nu) and sending the rest to deficits
+    pos = mu > 0
+    return float(mu[pos] @ cost.eval(np.maximum(1.0 - nu[pos] / mu[pos], 0.0)))
+
+
+@pytest.mark.parametrize("n", [2, 6, 16, 40, 64])
+def test_weak_cost_matches_complete_graph_closed_form(n):
+    sp = build_example("complete", n)
+    rng = np.random.default_rng(n)
+    for cost in (quadratic(), power(3), quadratic_linear(0.25, 0.5)):
+        for _ in range(1 if n == 64 else 3):
+            mu, nu = rng.dirichlet(np.full(n, 0.5)), rng.dirichlet(np.full(n, 0.5))
+            for pair in ((nu, mu), (mu, nu)):
+                res = weak_transport_cost(*pair, cost, sp)
+                assert res.converged
+                assert_in_bracket(_complete_graph_cost(*pair, cost), res)
 
 
 def test_oracle_fixture_and_size_limit():
@@ -525,6 +613,18 @@ def test_transport_entropy_sweep_keeps_certified_ratio(kind, n, cost, direction,
     assert rep.details["certified_ratio"] >= certified - 1e-9
     assert rep.verdict == verdict
     assert rep.details["solver"]["calls"] == rep.iterations == 200
+
+
+def test_transport_entropy_cycle_32_sweep():
+    # 32 points, where the linear subproblems have many degenerate bases
+    # and a solve takes up to about 140 rounds; the best ratio is the one
+    # the earlier shortest-path solver reached, to 12 digits
+    sp = build_example("cycle", 32)
+    rep = check_transport_entropy(uniform_measure(32), 4.0, quadratic(), sp,
+                                  direction="II", n_samples=20, seed=0)
+    assert rep.verdict == "violated"
+    assert rep.details["solver"]["unconverged"] == 0
+    assert abs(rep.best_ratio - 12.246878285537168) <= 1e-12 * 12.25
 
 
 def test_transport_entropy_reproducible():
