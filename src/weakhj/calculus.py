@@ -28,14 +28,16 @@ _HULL_BLOCK = 1 << 18     # entries per hull or time block: 2 MB per temporary
 def _gradient_argmax(f, space):
     """(|grad f|, ys): the nonlinear gradient and, per point x, the
     competitor y maximizing (f(x) - f(y)) / d(x, y); the first index wins
-    ties.  ys is meaningful only where the gradient is positive: elsewhere
-    the zero diagonal slope may win."""
+    ties.  Slopes are divided only off the diagonal (`space.off_diagonal`),
+    so the diagonal keeps f(x) - f(x) = 0 and no 0/0 arises, and the
+    gradient is read at the argmax rather than by a second reduction.  ys
+    is meaningful only where the gradient is positive: elsewhere the zero
+    diagonal slope may win."""
     f = np.asarray(f, dtype=float)
     slopes = f[:, None] - f
-    with np.errstate(invalid="ignore"):     # the diagonal 0/0
-        np.divide(slopes, space.dist, out=slopes)
-    np.fill_diagonal(slopes, 0.0)
-    return slopes.max(1), slopes.argmax(1)
+    np.divide(slopes, space.dist, out=slopes, where=space.off_diagonal)
+    ys = slopes.argmax(1)
+    return slopes[np.arange(len(f)), ys], ys
 
 
 def tilde_gradient(f, space):

@@ -49,19 +49,24 @@ def variance(f, mu):
 
 def _phi2(x, e1):
     # e^x - 1 - x without cancellation near 0, given e1 = expm1(x): a
-    # series where |x| < 1e-3
-    out = e1 - x
+    # series where |x| < 1e-3, on the whole array when it holds everywhere
     small = np.abs(x) < 1e-3
+    if small.all():
+        return _phi2_series(x)
+    out = e1 - x
     if small.any():
-        xs = x[small]
-        out[small] = 0.5 * xs * xs * (1.0 + xs / 3.0 + xs * xs / 12.0 + xs ** 3 / 60.0
-                                      + xs ** 4 / 360.0)
+        out[small] = _phi2_series(x[small])
     return out
 
 
+def _phi2_series(x):
+    return 0.5 * x * x * (1.0 + x / 3.0 + x * x / 12.0 + x ** 3 / 60.0 + x ** 4 / 360.0)
+
+
 def _entropy_scaled(F, mu):
-    """(ref, w, value) per row f of the stack F, with w = e^(f - ref) and
-    Ent_mu(e^f) = e^ref * value, value >= 0.
+    """(ref, w, total, value) per row f of the stack F, with
+    w = e^(f - ref), total = int w dmu and Ent_mu(e^f) = e^ref * value,
+    value >= 0.
 
     Rows of range below 1 are assembled from expm1/log1p pieces that are
     individually sign-definite, so the relative error stays at machine
@@ -74,11 +79,11 @@ def _entropy_scaled(F, mu):
     near = hi - F.min(1) < 1.0
     if near.all():
         return _entropy_near(F, mu)
-    w, value = np.empty_like(F), np.empty(len(F))
+    w, total, value = np.empty_like(F), np.empty(len(F)), np.empty(len(F))
     if near.any():
-        hi[near], w[near], value[near] = _entropy_near(F[near], mu)
-    w[~near], value[~near] = _entropy_wide(F[~near] - hi[~near, None], mu)
-    return hi, w, value
+        hi[near], w[near], total[near], value[near] = _entropy_near(F[near], mu)
+    w[~near], total[~near], value[~near] = _entropy_wide(F[~near] - hi[~near, None], mu)
+    return hi, w, total, value
 
 
 def _entropy_near(F, mu):
@@ -87,17 +92,18 @@ def _entropy_near(F, mu):
     delta = F - mean[:, None]
     e1 = np.expm1(delta)
     s = e1 @ mu
-    t3 = np.array([(1.0 + v) * math.log1p(v) - v for v in s])
+    t3 = np.array([(1.0 + v) * math.log1p(v) - v for v in s.tolist()])
     value = np.maximum((delta * e1) @ mu - _phi2(delta, e1) @ mu - t3, 0.0)
-    return mean, np.exp(delta), value
+    w = np.exp(delta)
+    return mean, w, w @ mu, value
 
 
 def _entropy_wide(shifted, mu):
     # rows shifted to max 0
     w = np.exp(shifted)
     total = w @ mu
-    logs = np.array([math.log(v) for v in total])
-    return w, np.maximum((w * shifted) @ mu - total * logs, 0.0)
+    logs = np.array([math.log(v) for v in total.tolist()])
+    return w, total, np.maximum((w * shifted) @ mu - total * logs, 0.0)
 
 
 def entropy_exp(f, mu):
@@ -113,7 +119,7 @@ def entropy_exp(f, mu):
     f, mu = np.asarray(f, dtype=float)[supp], mu[supp]
     if np.ptp(f) == 0:
         return 0.0
-    ref, _, value = _entropy_scaled(f[None], mu)
+    ref, _, _, value = _entropy_scaled(f[None], mu)
     return math.exp(ref[0]) * float(value[0])
 
 
@@ -231,7 +237,8 @@ def _ascend(value_and_grad, f0, iterations, range_target):
             break
         f = f + (_STEP0 / math.sqrt(it)) * gr / norm
         if range_target is not None:
-            lo, hi = float(f.min()), float(f.max())
+            values = f.tolist()
+            lo, hi = min(values), max(values)
             if hi > lo:
                 f = range_target * (f - lo) / (hi - lo)
     return best_r, best_f, it
@@ -272,9 +279,10 @@ def _poincare_value_and_grad(mu, space):
         ratio = float(mu @ centered ** 2) / energy
         grad = 2.0 * mu * centered
         active = np.flatnonzero(g > 0)
-        coef = 2.0 * ratio * mu[active] * g[active] / d[active, ys[active]]
+        to = ys[active]
+        coef = 2.0 * ratio * mu[active] * g[active] / d[active, to]
         grad[active] -= coef
-        np.add.at(grad, ys[active], coef)
+        np.add.at(grad, to, coef)
         return ratio, grad
 
     return vg
@@ -287,31 +295,40 @@ def _mlsi_ratio(F, G, mu, cost):
     # or the denominator vanishes
     conj = cost.conjugate(G)
     conj[~np.isfinite(conj).all(1)] = 0.0
-    ref, w, numer = _entropy_scaled(F, mu)
+    ref, w, _, numer = _entropy_scaled(F, mu)
     denom = (conj * w) @ mu
     ratio = np.divide(numer, denom, out=np.full(len(F), -np.inf), where=denom > 1e-300)
     return ref, w, conj, ratio
 
 
 def _mlsi_value_and_grad(mu, cost, sign, space):
+    # the ratio of _mlsi_ratio for one function, as a Python float: -inf,
+    # with the ascent sent along -f, where the conjugate is infinite or the
+    # denominator vanishes
     d = space.dist
 
     def vg(f):
-        if f.max() == f.min():
+        values = f.tolist()
+        if max(values) == min(values):
             return -np.inf, f
-        g, ys = _gradient_argmax(sign * f, space)
-        ref, w, conj, ratio = _mlsi_ratio(f[None], g[None], mu, cost)
-        ratio = float(ratio[0])
-        if ratio == -np.inf:
-            return ratio, -f
-        ref, w, conj = float(ref[0]), w[0], conj[0]
+        g, ys = _gradient_argmax(f if sign > 0 else -f, space)
+        conj = cost.conjugate(g)
+        if not np.isfinite(conj).all():
+            return -np.inf, -f
+        ref, w, total, numer = _entropy_scaled(f[None], mu)
+        w = w[0]
+        denom = float((conj * w) @ mu)
+        if not denom > 1e-300:
+            return -np.inf, -f
+        ratio = float(numer[0]) / denom
         mw = mu * w
-        grad_n = mw * (f - ref - math.log(float(mu @ w)))
+        grad_n = mw * (f - float(ref[0]) - math.log(float(total[0])))
         grad_d = mu * conj * w
         active = np.flatnonzero(g > 0)
-        coef = sign * mw[active] * cost.conjugate_deriv(g[active]) / d[active, ys[active]]
+        to = ys[active]
+        coef = sign * mw[active] * cost.conjugate_deriv(g[active]) / d[active, to]
         grad_d[active] += coef
-        np.subtract.at(grad_d, ys[active], coef)
+        np.subtract.at(grad_d, to, coef)
         return ratio, grad_n - ratio * grad_d
 
     return vg

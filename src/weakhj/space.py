@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # n points need 16 n^2 bytes: the float distance matrix plus the int64 row
-# sort order `MetricSpace.distance_groups` caches.  Every example space and
+# sort order `MetricSpace.distance_groups` caches (n^2 more for the boolean
+# `off_diagonal` mask once a gradient is taken).  Every example space and
 # graph is capped at the 2^12 = 4 096 points of hypercube:12, which take
 # 268 MB; hypercube:13 would take 1.07 GB.
 HYPERCUBE_MAX_N = 12
@@ -145,6 +146,14 @@ class MetricSpace:
             new[:, k] = u - first > 1e-12 * (1.0 + u)
             first = np.where(new[:, k], u, first)
         return order, np.flatnonzero(new)
+
+    @functools.cached_property
+    def off_diagonal(self):
+        """The n x n boolean mask of the pairs x != y (n^2 bytes), where the
+        nonlinear gradient divides by d(x, y).  Read-only, like `dist`."""
+        mask = ~np.eye(self.n, dtype=bool)
+        mask.flags.writeable = False
+        return mask
 
     @property
     def diameter(self):

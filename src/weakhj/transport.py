@@ -625,12 +625,13 @@ def dual_check(mu, C, phi, cost, space):
 
     for one test function phi; evaluated in log space.  It is norm growth
     at (rho, t) = (0, 1): its logs are 2/C times those of
-    `funcineq.hypercontractivity_check`."""
+    `funcineq.hypercontractivity_check`, and `holds` is that check's
+    verdict, so one rule judges both."""
     lam = 2.0 / as_positive(C, "dual constant")
     growth = hypercontractivity_check(mu, C, phi, 0.0, 1.0, space, cost)
     log_lhs, log_rhs = lam * growth["log_lhs"], lam * growth["log_rhs"]
     return {
-        "holds": bool(log_lhs <= log_rhs + 1e-10),
+        "holds": growth["holds"],
         "log_lhs": log_lhs,
         "log_rhs": log_rhs,
         "margin": log_rhs - log_lhs,

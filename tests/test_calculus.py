@@ -87,6 +87,21 @@ def test_gradient_argmax_matches_brute_force():
                                      if y != x and (f[x] - f[y]) / sp.dist[x, y] == best)
 
 
+def test_gradient_ties_go_to_the_first_index():
+    # on cycle:4 point 0 has slope 1 to all three others and takes the
+    # first; point 2, the minimum, keeps its own zero diagonal slope
+    sp = build_example("cycle", 4)
+    f = np.array([2.0, 1.0, 0.0, 1.0])
+    g, ys = _gradient_argmax(f, sp)
+    assert g.tolist() == [1.0, 1.0, 0.0, 1.0] == tilde_gradient(f, sp).tolist()
+    assert ys.tolist() == [1, 2, 2, 2]
+    assert not np.signbit(g).any()
+    # a zero slope to a neighbour of equal value ties with the diagonal
+    g, ys = _gradient_argmax(np.array([0.0, 0.0, 1.0]), build_example("path", 3))
+    assert g.tolist() == [0.0, 0.0, 1.0] and ys.tolist() == [0, 0, 1]
+    assert not np.signbit(g).any()
+
+
 def test_lipschitz_seminorm():
     sp = build_example("path", 3)
     assert lipschitz_seminorm([0.0, 5.0, 1.0], sp) == 5.0

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from weakhj import funcineq, transport
 from weakhj.calculus import lipschitz_seminorm
-from weakhj.cost import power, quadratic, quadratic_linear
+from weakhj.cost import parse_cost_spec, power, quadratic, quadratic_linear
 from weakhj.funcineq import (
     entropy_exp,
     hypercontractivity_check,
@@ -209,6 +210,39 @@ def test_hypercontractivity_agrees_with_dual_form():
             assert_allclose(du["log_rhs"], 2.0 / C * hc["log_rhs"], rtol=0, atol=1e-12)
 
 
+
+@pytest.mark.parametrize("C", [0.5, 3.0, 8.0])
+def test_dual_check_takes_the_norm_growth_verdict(C):
+    # one rule judges (rho, t) = (0, 1): dual_check's verdict is
+    # hypercontractivity_check's, also for a phi scaled by bisection on its
+    # amplitude until the norm-growth excess lies between 1e-10 and
+    # 1e-10 * C / 2, where the slack 1e-10 on logs scaled by 2/C judged
+    # the other way
+    sp = MetricSpace(3.0 * build_example("path", 5).dist)
+    mu = uniform_measure(5)
+    shape = np.array([1.0, 0.5, 0.0, -0.5, -1.0])
+    rng = np.random.default_rng(4)
+    target = 0.25e-10 * (2.0 + C)               # the middle of the band
+
+    def excess(phi):
+        hc = hypercontractivity_check(mu, C, phi, 0.0, 1.0, sp)
+        return hc["log_lhs"] - hc["log_rhs"]
+
+    lo, hi = 0.0, 1.0
+    assert excess(hi * shape) > target
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if excess(mid * shape) > target else (mid, hi)
+    banded = hi * shape
+    assert min(1.0, C / 2.0) < excess(banded) / 1e-10 <= max(1.0, C / 2.0)
+    for phi in [rng.standard_normal(5) for _ in range(10)] + [banded]:
+        hc = hypercontractivity_check(mu, C, phi, 0.0, 1.0, sp)
+        du = dual_check(mu, C, phi, quadratic(), sp)
+        assert du["holds"] == hc["holds"]
+    # the banded phi: the slack on the scaled logs judges the other way
+    assert du["holds"] != (du["log_lhs"] <= du["log_rhs"] + 1e-10)
+
+
 def test_hypercontractivity_hypercube_sweep():
     sp = build_example("hypercube", n=2)
     mu = uniform_measure(4)
@@ -374,6 +408,304 @@ def test_estimators_reproduce_pinned_search(kind, n, estimator):
     ratio, witness = PINNED[kind, n, estimator]
     assert_allclose(rep.best_ratio, ratio, rtol=1e-12, atol=0)
     assert_allclose(rep.witness, witness, rtol=1e-12, atol=0)
+
+
+
+# best_ratio, the first 16 hex digits of the SHA-256 of the witness bytes,
+# iterations and details.best_restart of every report on a grid of spaces,
+# measures, costs, types and restart counts (seed 0, mlsi at C = 1),
+# recorded before the estimator step was trimmed (gradient read at its
+# argmax, series on the whole array, the kernel's ratio as a Python
+# float): a faster step must leave every ascent iterate as it was, so the
+# test asserts ==, not closeness
+BITS_SPACES = ("hypercube:2", "cycle:6", "path:5", "hypercube:5")
+ESTIMATOR_BITS = {
+    ("hypercube:2", "uniform", 1, "poincare"): (0.6417360464437383, "7e3d6de37aea8297", 500, 0),
+    ("hypercube:2", "uniform", 1, "quadratic:I"): (0.6326017786282568, "c7d552c1c068bdc9", 500, 0),
+    ("hypercube:2", "uniform", 1, "quadratic:II"):
+        (163419895761.61307, "2bdc2a58d6d281d0", 500, 0),
+    ("hypercube:2", "uniform", 1, "power:p=3:I"): (0.3747139458865216, "ab25a1e0f231673e", 500, 0),
+    ("hypercube:2", "uniform", 1, "power:p=3:II"):
+        (6.2243505555822995, "f844f34a8ebff5e6", 500, 0),
+    ("hypercube:2", "uniform", 1, "qlin:a=0.25,h=2:I"):
+        (0.3163008893141284, "c7d552c1c068bdc9", 500, 0),
+    ("hypercube:2", "uniform", 1, "qlin:a=0.25,h=2:II"):
+        (0.4305056625532746, "63b0a7d791db7523", 500, 0),
+    ("hypercube:2", "uniform", 4, "poincare"): (0.8201910387123691, "673b246a64af87eb", 2000, 1),
+    ("hypercube:2", "uniform", 4, "quadratic:I"):
+        (0.8123397498200385, "f5465ccfd774ee03", 2000, 1),
+    ("hypercube:2", "uniform", 4, "quadratic:II"):
+        (4.639938662104941e+39, "bf57915de9fc4530", 2000, 3),
+    ("hypercube:2", "uniform", 4, "power:p=3:I"):
+        (0.39094441129265606, "aaaf84c4424cb7d4", 2000, 3),
+    ("hypercube:2", "uniform", 4, "power:p=3:II"):
+        (9215.178954265764, "d7b513159ef9aadd", 2000, 2),
+    ("hypercube:2", "uniform", 4, "qlin:a=0.25,h=2:I"):
+        (0.40616987491001927, "f5465ccfd774ee03", 2000, 1),
+    ("hypercube:2", "uniform", 4, "qlin:a=0.25,h=2:II"):
+        (0.5924883260113989, "cf80a8b13e235bd5", 2000, 1),
+    ("hypercube:2", "null_point", 1, "poincare"): (0.5071613010919036, "b064e1812ae2463a", 500, 0),
+    ("hypercube:2", "null_point", 1, "quadratic:I"):
+        (0.4987192103918245, "5f442ee0e5cfca52", 500, 0),
+    ("hypercube:2", "null_point", 1, "quadratic:II"):
+        (242.74583190359894, "a479c261fe16c5fe", 500, 0),
+    ("hypercube:2", "null_point", 1, "power:p=3:I"):
+        (0.439983831823502, "76d7ff4652e77b7a", 500, 0),
+    ("hypercube:2", "null_point", 1, "power:p=3:II"):
+        (2.0899305043645747e+19, "41d1f292f6baf737", 500, 0),
+    ("hypercube:2", "null_point", 1, "qlin:a=0.25,h=2:I"):
+        (0.24935960519591224, "5f442ee0e5cfca52", 500, 0),
+    ("hypercube:2", "null_point", 1, "qlin:a=0.25,h=2:II"):
+        (0.452533149743362, "71c08582c35fb99a", 500, 0),
+    ("hypercube:2", "null_point", 4, "poincare"):
+        (1.0000000000000002, "2c6a87b4d027d91e", 2000, 1),
+    ("hypercube:2", "null_point", 4, "quadratic:I"):
+        (0.9999925652881766, "3c1666f07b149f05", 2000, 1),
+    ("hypercube:2", "null_point", 4, "quadratic:II"):
+        (94533.46705925984, "f26081d7638dbea1", 2000, 2),
+    ("hypercube:2", "null_point", 4, "power:p=3:I"):
+        (0.4400853842158016, "d59f059312f1e012", 2000, 3),
+    ("hypercube:2", "null_point", 4, "power:p=3:II"):
+        (8667.830909017668, "c10c13a1d91ea158", 2000, 2),
+    ("hypercube:2", "null_point", 4, "qlin:a=0.25,h=2:I"):
+        (0.4999962826440883, "3c1666f07b149f05", 2000, 1),
+    ("hypercube:2", "null_point", 4, "qlin:a=0.25,h=2:II"):
+        (0.7279734430158719, "304bebdebe9ac0d6", 2000, 1),
+    ("hypercube:2", "skewed", 1, "poincare"): (0.8780423300602097, "bb1b47697b8ef125", 500, 0),
+    ("hypercube:2", "skewed", 1, "quadratic:I"): (0.8397571630530846, "a35b2b3fb6424d15", 500, 0),
+    ("hypercube:2", "skewed", 1, "quadratic:II"): (5039445648.418756, "06da3602c3f1d638", 500, 0),
+    ("hypercube:2", "skewed", 1, "power:p=3:I"): (0.361539645942951, "635f476d5c982029", 500, 0),
+    ("hypercube:2", "skewed", 1, "power:p=3:II"): (4.851599721254749, "9f94224d74137ccb", 500, 0),
+    ("hypercube:2", "skewed", 1, "qlin:a=0.25,h=2:I"):
+        (0.4198785815265423, "a35b2b3fb6424d15", 500, 0),
+    ("hypercube:2", "skewed", 1, "qlin:a=0.25,h=2:II"):
+        (0.531582280581939, "e9906d2b11c9dfc9", 500, 0),
+    ("hypercube:2", "skewed", 4, "poincare"): (1.0453538373497195, "122f483b70912f0b", 2000, 1),
+    ("hypercube:2", "skewed", 4, "quadratic:I"): (1.0327443246525263, "9fb2efcc8228d295", 2000, 1),
+    ("hypercube:2", "skewed", 4, "quadratic:II"):
+        (5.0007338003849766e+39, "bf57915de9fc4530", 2000, 3),
+    ("hypercube:2", "skewed", 4, "power:p=3:I"):
+        (0.46462195712827387, "c58bab01d9c991fd", 2000, 1),
+    ("hypercube:2", "skewed", 4, "power:p=3:II"):
+        (3.7505503502887336e+40, "bf57915de9fc4530", 2000, 3),
+    ("hypercube:2", "skewed", 4, "qlin:a=0.25,h=2:I"):
+        (0.5163721623262632, "9fb2efcc8228d295", 2000, 1),
+    ("hypercube:2", "skewed", 4, "qlin:a=0.25,h=2:II"):
+        (0.5664901506545963, "2f0b3849bf5885d8", 2000, 1),
+    ("cycle:6", "uniform", 1, "poincare"): (1.165520576663933, "b60db8dd6e67b6e8", 500, 0),
+    ("cycle:6", "uniform", 1, "quadratic:I"): (1.1124396740465636, "4aeb3ef7396495ae", 500, 0),
+    ("cycle:6", "uniform", 1, "quadratic:II"): (388.52227587005143, "88f7457f6429912c", 500, 0),
+    ("cycle:6", "uniform", 1, "power:p=3:I"): (0.4621774526647135, "0f360a75bba486bd", 500, 0),
+    ("cycle:6", "uniform", 1, "power:p=3:II"): (1507.0062281325277, "c36e0625e82365c9", 500, 0),
+    ("cycle:6", "uniform", 1, "qlin:a=0.25,h=2:I"):
+        (0.5562198370232818, "4aeb3ef7396495ae", 500, 0),
+    ("cycle:6", "uniform", 1, "qlin:a=0.25,h=2:II"):
+        (0.7502269848751395, "279a56ab400bdbb6", 500, 0),
+    ("cycle:6", "uniform", 4, "poincare"): (1.228686841894405, "f467edf1ae4b9a30", 2000, 1),
+    ("cycle:6", "uniform", 4, "quadratic:I"): (1.2206673501439615, "b3b063c5bfb33cdd", 2000, 1),
+    ("cycle:6", "uniform", 4, "quadratic:II"): (382.9647219002372, "69cf21f0d21276c7", 2000, 2),
+    ("cycle:6", "uniform", 4, "power:p=3:I"): (0.5953410291777822, "c82f3234bd240c9f", 2000, 3),
+    ("cycle:6", "uniform", 4, "power:p=3:II"): (2369.767608548791, "cb03da0592565038", 2000, 2),
+    ("cycle:6", "uniform", 4, "qlin:a=0.25,h=2:I"):
+        (0.6103336750719808, "b3b063c5bfb33cdd", 2000, 1),
+    ("cycle:6", "uniform", 4, "qlin:a=0.25,h=2:II"):
+        (0.791463079067824, "e5298de7ccc79be2", 2000, 1),
+    ("cycle:6", "null_point", 1, "poincare"): (1.256739041145651, "3f44c5166b1d1a21", 500, 0),
+    ("cycle:6", "null_point", 1, "quadratic:I"): (1.3793513089614988, "1a23530236580558", 500, 0),
+    ("cycle:6", "null_point", 1, "quadratic:II"): (11497.855222326625, "091c656f144849a5", 500, 0),
+    ("cycle:6", "null_point", 1, "power:p=3:I"): (0.550493726363474, "bcca3ba5ba18f1fa", 500, 0),
+    ("cycle:6", "null_point", 1, "power:p=3:II"): (28.213509518131797, "375359707f19d7a3", 500, 0),
+    ("cycle:6", "null_point", 1, "qlin:a=0.25,h=2:I"):
+        (0.6896756544807494, "1a23530236580558", 500, 0),
+    ("cycle:6", "null_point", 1, "qlin:a=0.25,h=2:II"):
+        (0.9616996782856347, "6f0cfb7449fc002e", 500, 0),
+    ("cycle:6", "null_point", 4, "poincare"): (1.8810241449056597, "186d070ad7c28781", 2000, 3),
+    ("cycle:6", "null_point", 4, "quadratic:I"): (1.3793513089614988, "1a23530236580558", 2000, 0),
+    ("cycle:6", "null_point", 4, "quadratic:II"): (86.63855344487543, "8a40211b668fe7a9", 2000, 2),
+    ("cycle:6", "null_point", 4, "power:p=3:I"): (0.7419243795989955, "d021808038b963df", 2000, 3),
+    ("cycle:6", "null_point", 4, "power:p=3:II"):
+        (1186.5589786913515, "d73382293e7873e5", 2000, 2),
+    ("cycle:6", "null_point", 4, "qlin:a=0.25,h=2:I"):
+        (0.6896756544807494, "1a23530236580558", 2000, 0),
+    ("cycle:6", "null_point", 4, "qlin:a=0.25,h=2:II"):
+        (1.4247096319572603, "3d6c1c6c7f5234f9", 2000, 1),
+    ("cycle:6", "skewed", 1, "poincare"): (0.7293412593372733, "0de7f3f3d51b34d5", 500, 0),
+    ("cycle:6", "skewed", 1, "quadratic:I"): (0.7313887844828911, "7d77336a2a530962", 500, 0),
+    ("cycle:6", "skewed", 1, "quadratic:II"): (4.452751555027675e+29, "31e6a937bae50849", 500, 0),
+    ("cycle:6", "skewed", 1, "power:p=3:I"): (0.6578096159130571, "f0848d02294b506a", 500, 0),
+    ("cycle:6", "skewed", 1, "power:p=3:II"): (65.67902157668256, "3369a0198b3c17c9", 500, 0),
+    ("cycle:6", "skewed", 1, "qlin:a=0.25,h=2:I"):
+        (0.36569439224144556, "7d77336a2a530962", 500, 0),
+    ("cycle:6", "skewed", 1, "qlin:a=0.25,h=2:II"):
+        (0.6084727250131707, "efb5365c6a561c67", 500, 0),
+    ("cycle:6", "skewed", 4, "poincare"): (2.1716557705054464, "4e0833a4a1d52966", 2000, 1),
+    ("cycle:6", "skewed", 4, "quadratic:I"): (1.9194101595707036, "78938795f981d46f", 2000, 1),
+    ("cycle:6", "skewed", 4, "quadratic:II"): (28.871827563616797, "e9053a5db005ca61", 2000, 3),
+    ("cycle:6", "skewed", 4, "power:p=3:I"): (0.9555019930580169, "2f193a7ad47f4f02", 2000, 1),
+    ("cycle:6", "skewed", 4, "power:p=3:II"): (4.660089110189751e+40, "b7175ba5b1a6b639", 2000, 3),
+    ("cycle:6", "skewed", 4, "qlin:a=0.25,h=2:I"):
+        (0.9597050797853518, "78938795f981d46f", 2000, 1),
+    ("cycle:6", "skewed", 4, "qlin:a=0.25,h=2:II"):
+        (0.5644098306139503, "7f8b9ae5e3a74185", 2000, 1),
+    ("path:5", "uniform", 1, "poincare"): (1.0874359366862585, "026a1a83dbc77708", 500, 0),
+    ("path:5", "uniform", 1, "quadratic:I"): (1.1883492069037043, "3199f3f9f260ad9c", 500, 0),
+    ("path:5", "uniform", 1, "quadratic:II"): (32.72107737085795, "eb17b46a4c6f12bf", 500, 0),
+    ("path:5", "uniform", 1, "power:p=3:I"): (0.7902215850126, "e56771d773dd84bb", 500, 0),
+    ("path:5", "uniform", 1, "power:p=3:II"): (10409484.283762591, "3f19f2c4984df83a", 500, 0),
+    ("path:5", "uniform", 1, "qlin:a=0.25,h=2:I"):
+        (0.5941746034518521, "3199f3f9f260ad9c", 500, 0),
+    ("path:5", "uniform", 1, "qlin:a=0.25,h=2:II"):
+        (1.3314822057843243, "2d6f15481438dd6d", 500, 0),
+    ("path:5", "uniform", 4, "poincare"): (2.5414100622096023, "17aad4d67458caf4", 2000, 3),
+    ("path:5", "uniform", 4, "quadratic:I"): (2.533109715300849, "90f6dbd98b498040", 2000, 1),
+    ("path:5", "uniform", 4, "quadratic:II"): (45.365554599985, "6ec5e3512d6f3393", 2000, 3),
+    ("path:5", "uniform", 4, "power:p=3:I"): (0.9848616545134721, "b64f52f6dec07f73", 2000, 3),
+    ("path:5", "uniform", 4, "power:p=3:II"): (4.565180851898908e+40, "1f9f78e1853562a5", 2000, 3),
+    ("path:5", "uniform", 4, "qlin:a=0.25,h=2:I"):
+        (1.2665548576504244, "90f6dbd98b498040", 2000, 1),
+    ("path:5", "uniform", 4, "qlin:a=0.25,h=2:II"):
+        (1.7617062164552022, "8940fd5d24139c82", 2000, 1),
+    ("path:5", "null_point", 1, "poincare"): (0.7070762765142382, "d070c53248758383", 500, 0),
+    ("path:5", "null_point", 1, "quadratic:I"): (0.706005643556571, "7f6a76d5852b3015", 500, 0),
+    ("path:5", "null_point", 1, "quadratic:II"): (109666.42745852361, "c1aba79b6ddd6570", 500, 0),
+    ("path:5", "null_point", 1, "power:p=3:I"): (0.5286674890957322, "646a2757c1f7b527", 500, 0),
+    ("path:5", "null_point", 1, "power:p=3:II"): (526036.5736742273, "112d7a9915da8941", 500, 0),
+    ("path:5", "null_point", 1, "qlin:a=0.25,h=2:I"):
+        (0.3530028217782855, "7f6a76d5852b3015", 500, 0),
+    ("path:5", "null_point", 1, "qlin:a=0.25,h=2:II"):
+        (0.7871194014910542, "547690574ecc52f6", 500, 0),
+    ("path:5", "null_point", 4, "poincare"): (1.6780531728918076, "b8176b77dd146ab6", 2000, 3),
+    ("path:5", "null_point", 4, "quadratic:I"): (1.6666780965519465, "08c7b38072e0e8d2", 2000, 3),
+    ("path:5", "null_point", 4, "quadratic:II"): (89.38097246588343, "f08f54c1bb21ebe0", 2000, 2),
+    ("path:5", "null_point", 4, "power:p=3:I"): (0.695757935155176, "37049f45dea8721d", 2000, 3),
+    ("path:5", "null_point", 4, "power:p=3:II"): (4561.759954526589, "a856758736aede61", 2000, 2),
+    ("path:5", "null_point", 4, "qlin:a=0.25,h=2:I"):
+        (0.47483589583938973, "f6ea8ce6fa86c020", 2000, 1),
+    ("path:5", "null_point", 4, "qlin:a=0.25,h=2:II"):
+        (1.1998922838097412, "36378132f639b3b5", 2000, 1),
+    ("path:5", "skewed", 1, "poincare"): (0.7612585596914823, "193d9058f782f806", 500, 0),
+    ("path:5", "skewed", 1, "quadratic:I"): (0.7634312351650926, "3c951ba3127db12a", 500, 0),
+    ("path:5", "skewed", 1, "quadratic:II"): (4.8081782520959386e+17, "e89f7cf71ed3cfb1", 500, 0),
+    ("path:5", "skewed", 1, "power:p=3:I"): (0.858351852574479, "1a2cb86e42c2bb93", 500, 0),
+    ("path:5", "skewed", 1, "power:p=3:II"): (38994.36458772043, "00dccaf4935ace79", 500, 0),
+    ("path:5", "skewed", 1, "qlin:a=0.25,h=2:I"): (0.3817156175825463, "3c951ba3127db12a", 500, 0),
+    ("path:5", "skewed", 1, "qlin:a=0.25,h=2:II"):
+        (0.8228192487710666, "defdf15ffe869c09", 500, 0),
+    ("path:5", "skewed", 4, "poincare"): (2.8054857146613337, "2d9a68d56b313e4d", 2000, 1),
+    ("path:5", "skewed", 4, "quadratic:I"): (2.798027050936019, "68dad16b21bd89b3", 2000, 1),
+    ("path:5", "skewed", 4, "quadratic:II"): (23.760408962954934, "385409d5eab94384", 2000, 3),
+    ("path:5", "skewed", 4, "power:p=3:I"): (1.4728393196871474, "f7b19a3066a5ffd5", 2000, 1),
+    ("path:5", "skewed", 4, "power:p=3:II"): (4.882557527332911e+40, "1f9f78e1853562a5", 2000, 3),
+    ("path:5", "skewed", 4, "qlin:a=0.25,h=2:I"):
+        (1.3990135254680094, "68dad16b21bd89b3", 2000, 1),
+    ("path:5", "skewed", 4, "qlin:a=0.25,h=2:II"):
+        (1.3528895795460163, "3df9ed941727ca8d", 2000, 1),
+    ("hypercube:5", "uniform", 1, "poincare"): (0.8684583919624022, "35d1b57bfc094aaa", 500, 0),
+    ("hypercube:5", "uniform", 1, "quadratic:I"): (0.9452301690451511, "54a440bb0645345b", 500, 0),
+    ("hypercube:5", "uniform", 1, "quadratic:II"):
+        (2.4387586502264096, "6224fc7ba3c41b01", 500, 0),
+    ("hypercube:5", "uniform", 1, "power:p=3:I"):
+        (0.36580245698711367, "f04759fd0ad55b30", 500, 0),
+    ("hypercube:5", "uniform", 1, "power:p=3:II"):
+        (22.544607781801385, "51366add60508e8f", 500, 0),
+    ("hypercube:5", "uniform", 1, "qlin:a=0.25,h=2:I"):
+        (0.47261508452257556, "54a440bb0645345b", 500, 0),
+    ("hypercube:5", "uniform", 1, "qlin:a=0.25,h=2:II"):
+        (0.6009877263709553, "bc9935dc6d3e1aff", 500, 0),
+    ("hypercube:5", "uniform", 4, "poincare"): (1.578932004709483, "f3b2e8553c5539d4", 2000, 1),
+    ("hypercube:5", "uniform", 4, "quadratic:I"):
+        (1.3658229701086484, "afab508ba9d2cd55", 2000, 1),
+    ("hypercube:5", "uniform", 4, "quadratic:II"):
+        (5.248108709486917e+39, "90b2f3d4eeb211b5", 2000, 3),
+    ("hypercube:5", "uniform", 4, "power:p=3:I"):
+        (0.9020765310091712, "dac074379a95af11", 2000, 3),
+    ("hypercube:5", "uniform", 4, "power:p=3:II"):
+        (3.738917067233429e+40, "90b2f3d4eeb211b5", 2000, 3),
+    ("hypercube:5", "uniform", 4, "qlin:a=0.25,h=2:I"):
+        (0.6829114850543242, "afab508ba9d2cd55", 2000, 1),
+    ("hypercube:5", "uniform", 4, "qlin:a=0.25,h=2:II"):
+        (0.9216877336534384, "9948297df510e361", 2000, 1),
+    ("hypercube:5", "null_point", 1, "poincare"): (0.8503944278510174, "5e0035f9a140067b", 500, 0),
+    ("hypercube:5", "null_point", 1, "quadratic:I"):
+        (0.8615466518465948, "d0c771a8991aea9c", 500, 0),
+    ("hypercube:5", "null_point", 1, "quadratic:II"):
+        (3.7594531595916068, "d443bbf6a5243332", 500, 0),
+    ("hypercube:5", "null_point", 1, "power:p=3:I"):
+        (0.3733546160806946, "ecb4232f249dbd51", 500, 0),
+    ("hypercube:5", "null_point", 1, "power:p=3:II"):
+        (16.181839923919927, "6365320df9d9681f", 500, 0),
+    ("hypercube:5", "null_point", 1, "qlin:a=0.25,h=2:I"):
+        (0.4307733259232974, "d0c771a8991aea9c", 500, 0),
+    ("hypercube:5", "null_point", 1, "qlin:a=0.25,h=2:II"):
+        (0.5456617865678071, "7917f42ee6f00889", 500, 0),
+    ("hypercube:5", "null_point", 4, "poincare"):
+        (1.5040705107765644, "e498c9ca1724a498", 2000, 1),
+    ("hypercube:5", "null_point", 4, "quadratic:I"):
+        (1.6112770477732048, "88af4e5bdeb70dc7", 2000, 1),
+    ("hypercube:5", "null_point", 4, "quadratic:II"):
+        (5.152850853022232e+39, "90b2f3d4eeb211b5", 2000, 3),
+    ("hypercube:5", "null_point", 4, "power:p=3:I"):
+        (0.9250162188644585, "6bb402d699f5b5fd", 2000, 3),
+    ("hypercube:5", "null_point", 4, "power:p=3:II"):
+        (3.671052385871159e+40, "90b2f3d4eeb211b5", 2000, 3),
+    ("hypercube:5", "null_point", 4, "qlin:a=0.25,h=2:I"):
+        (0.8056385238866024, "88af4e5bdeb70dc7", 2000, 1),
+    ("hypercube:5", "null_point", 4, "qlin:a=0.25,h=2:II"):
+        (0.9618444606101644, "e600122fe9c56102", 2000, 1),
+    ("hypercube:5", "skewed", 1, "poincare"): (0.8161372131572757, "19fd732be50b922a", 500, 0),
+    ("hypercube:5", "skewed", 1, "quadratic:I"): (0.8369139825050541, "261901e8db44d04c", 500, 0),
+    ("hypercube:5", "skewed", 1, "quadratic:II"): (313648.9102746789, "66ae140ba055c854", 500, 0),
+    ("hypercube:5", "skewed", 1, "power:p=3:I"): (0.3555922365333832, "b81efe25e721d847", 500, 0),
+    ("hypercube:5", "skewed", 1, "power:p=3:II"): (127.12470658081367, "7b9c02652279acb0", 500, 0),
+    ("hypercube:5", "skewed", 1, "qlin:a=0.25,h=2:I"):
+        (0.41845699125252706, "261901e8db44d04c", 500, 0),
+    ("hypercube:5", "skewed", 1, "qlin:a=0.25,h=2:II"):
+        (0.6453579029704267, "e801a18d574c0189", 500, 0),
+    ("hypercube:5", "skewed", 4, "poincare"): (1.0480671974233078, "52b7dd3438f4c942", 2000, 1),
+    ("hypercube:5", "skewed", 4, "quadratic:I"): (1.1153538476689422, "f2b23eaed252c775", 2000, 1),
+    ("hypercube:5", "skewed", 4, "quadratic:II"):
+        (5.07395556147058e+39, "90b2f3d4eeb211b5", 2000, 3),
+    ("hypercube:5", "skewed", 4, "power:p=3:I"):
+        (0.46980519855590797, "df4b1ddd29801951", 2000, 1),
+    ("hypercube:5", "skewed", 4, "power:p=3:II"):
+        (3.786568229559094e+40, "90b2f3d4eeb211b5", 2000, 3),
+    ("hypercube:5", "skewed", 4, "qlin:a=0.25,h=2:I"):
+        (0.5576769238344711, "f2b23eaed252c775", 2000, 1),
+    ("hypercube:5", "skewed", 4, "qlin:a=0.25,h=2:II"):
+        (0.6453579029704267, "e801a18d574c0189", 2000, 0),
+}
+
+
+def _bits_measure(kind, n):
+    if kind == "uniform":
+        return uniform_measure(n)
+    if kind == "null_point":
+        return _null_point_measure(n)
+    skewed = 0.5 ** np.arange(n)
+    return skewed / skewed.sum()
+
+
+def _bits(rep):
+    witness = (None if rep.witness is None else
+               hashlib.sha256(np.asarray(rep.witness, dtype=float).tobytes()).hexdigest()[:16])
+    return rep.best_ratio, witness, rep.iterations, rep.details["best_restart"]
+
+
+@pytest.mark.parametrize("spec", BITS_SPACES)
+def test_estimator_bits_unchanged(spec):
+    kind, n = spec.split(":")
+    sp = build_example(kind, int(n))
+    rows = [(key, want) for key, want in ESTIMATOR_BITS.items() if key[0] == spec]
+    assert len(rows) == 3 * 2 * 7
+    for (_, measure, restarts, estimator), want in rows:
+        mu = _bits_measure(measure, sp.n)
+        if estimator == "poincare":
+            rep = poincare_estimate(mu, sp, restarts=restarts, seed=0)
+        else:
+            cost, type_ = estimator.rsplit(":", 1)
+            rep = mlsi_verify(mu, 1.0, parse_cost_spec(cost), type_, sp,
+                              restarts=restarts, seed=0)
+        assert _bits(rep) == want, (measure, restarts, estimator)
 
 
 def test_estimators_report_steps_taken_and_winning_restart(monkeypatch):
