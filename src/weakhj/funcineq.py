@@ -16,7 +16,7 @@ constant.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -166,7 +166,7 @@ class InequalityReport:
         return self.verdict == "violated"
 
     def to_json_dict(self):
-        return jsonable(asdict(self))
+        return jsonable(self)
 
 
 def verdict(ratio, constant):

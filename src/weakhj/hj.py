@@ -18,7 +18,7 @@ be a semigroup on a connected space.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class ResidualReport:
     conjugate_infinite: tuple
 
     def to_json_dict(self):
-        return jsonable(asdict(self))
+        return jsonable(self)
 
 
 @dataclass
@@ -67,7 +67,7 @@ class BoundaryReport:
     excluded: tuple
 
     def to_json_dict(self):
-        return jsonable(asdict(self))
+        return jsonable(self)
 
 
 def hj_residuals(f, ts, cost, space):
@@ -123,18 +123,18 @@ def _residual_pass(f, ts, cost, space):
 
 def _gradient_times(values, space):
     """`tilde_gradient` of every row of the (T, n) values, from one
-    (times, n, n) slope pass in blocks of at most _HULL_BLOCK slopes; the
-    same divisions and the same max, so every row is bit-identical."""
+    (times, n, n) slope pass in blocks of at most _HULL_BLOCK slopes.
+    The same divisions, only off the diagonal (`space.off_diagonal`), so
+    the diagonal keeps its zero slope and no 0/0 arises; each row's
+    largest slope is the value `tilde_gradient` reads at its argmax, so
+    every row equals it."""
     n = space.n
     g = np.empty_like(values)
-    diag = np.arange(n)
     step = max(1, _HULL_BLOCK // (n * n))
-    with np.errstate(invalid="ignore"):     # the diagonal 0/0
-        for r in range(0, len(values), step):
-            slopes = values[r:r + step, :, None] - values[r:r + step, None, :]
-            np.divide(slopes, space.dist, out=slopes)
-            slopes[:, diag, diag] = 0.0
-            g[r:r + step] = slopes.max(axis=2)
+    for r in range(0, len(values), step):
+        slopes = values[r:r + step, :, None] - values[r:r + step, None, :]
+        np.divide(slopes, space.dist, out=slopes, where=space.off_diagonal)
+        g[r:r + step] = slopes.max(axis=2)
     return g
 
 
@@ -238,7 +238,7 @@ class ObstructionResult:
     detail: dict = field(default_factory=dict)
 
     def to_json_dict(self):
-        return jsonable(asdict(self))
+        return jsonable(self)
 
 
 def _family_matrix(d_family, t, space):

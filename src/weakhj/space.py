@@ -9,7 +9,9 @@ is validated edge by edge, its closure being a metric by construction; an
 explicit matrix goes through `check_metric`.  Every example and graph is
 capped at 2^HYPERCUBE_MAX_N points.  SciPy is imported only inside
 `build_from_graph`, for Dijkstra, so every example space loads without
-it.
+it; the graph's symmetric CSR arrays are built there directly, and the
+distances are bit for bit those of SciPy's undirected `shortest_path`.
+`jsonable` turns reports and payloads into plain JSON data in one pass.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -30,20 +32,36 @@ HYPERCUBE_MAX_N = 12
 _MAX_POINTS = 2 ** HYPERCUBE_MAX_N
 SYMMETRIC_GROUP_MAX_N = 5
 METRIC_TOL = 1e-9
+_LEAVES = (str, int, float, bool, type(None))
 
 
 def jsonable(obj):
-    """`obj` as plain JSON data: dicts stay dicts, lists, tuples and arrays
-    become lists, NumPy scalars become Python scalars, and a non-finite
-    float becomes None (NaN and infinity are not JSON)."""
+    """`obj` as plain JSON data: dicts stay dicts, a dataclass instance
+    becomes the dict of its fields in declaration order, read without a
+    copy, lists, tuples and arrays become lists, NumPy scalars become
+    Python scalars, and a non-finite float becomes None (NaN and infinity
+    are not JSON).
+
+    Leaves are tested by exact type first: `np.float64` subclasses float,
+    so `isinstance` would pass a non-finite NumPy scalar through.  A bool
+    or integer array, or a float array that is all finite, is returned by
+    one `tolist()`; only an array holding NaN or an infinity is walked
+    element by element."""
+    kind = type(obj)
+    if kind in _LEAVES:
+        return None if kind is float and not math.isfinite(obj) else obj
     if isinstance(obj, dict):
         return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
+        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            return obj.tolist()
+        return jsonable(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.generic):
         obj = obj.item()
+    elif is_dataclass(obj):
+        return {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
     return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
@@ -94,9 +112,9 @@ def check_metric(dist):
     # d_ik - (d_ij + d_jk) > METRIC_TOL (1 + d_ik), with d_ik moved to one side
     top = d * (1.0 - METRIC_TOL) - METRIC_TOL
     for j in range(n):
-        bad = np.argwhere(top > d[:, j][:, None] + d[j, :][None, :])
-        if bad.size:
-            i, k = bad[0]
+        bad = top > d[:, j][:, None] + d[j, :][None, :]
+        if bad.any():
+            i, k = np.argwhere(bad)[0]
             return {"axiom": "triangle", "witness": (int(i), int(j), int(k)),
                     "values": (float(d[i, k]), float(d[i, j] + d[j, k]))}
     return None
@@ -194,9 +212,19 @@ def build_from_graph(n, edges, labels=None):
     is a metric by construction (zero on the diagonal, above METRIC_TOL
     off it, symmetric and subadditive up to the rounding of path sums),
     so it skips `check_metric`, whose O(n^3) loop takes seconds at a
-    thousand points.  Dijkstra sums each path once from either end, and
-    the two sums can differ in the last bits; the smaller one is kept
-    for both entries, so `dist` is exactly symmetric.
+    thousand points.
+
+    The CSR arrays Dijkstra reads are built here, not by SciPy's
+    COO-to-CSR conversion and undirected re-symmetrisation: every edge
+    is stored both ways, rows sorted by tail and then by head, with int32
+    indices and `indptr` counted from the tails.  The distances are bit
+    for bit those of an undirected `shortest_path` call: Dijkstra's final
+    d[v] is the least of fl(d[u] + w(u, v)) over the neighbours u settled
+    before v, and neither the storage order of the edges nor the order
+    in which ties are settled changes that set's minimum.  Dijkstra sums
+    each path once from either end, and the two sums can differ in the
+    last bits; the smaller one is kept for both entries, so `dist` is
+    exactly symmetric.
     """
     n = as_count(n, "n")
     _check_points("graph", n)
@@ -218,11 +246,19 @@ def build_from_graph(n, edges, labels=None):
         key = (min(i, j), max(i, j))
         weight[key] = min(w, weight.get(key, w))  # parallel edges keep the shortest
     from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path
+    from scipy.sparse.csgraph import dijkstra
 
-    rows, cols = [i for i, _ in weight], [j for _, j in weight]
-    graph = csr_matrix((list(weight.values()), (rows, cols)), shape=(n, n))
-    d = shortest_path(graph, method="D", directed=False)  # reads each edge both ways
+    m = len(weight)
+    ends = np.array(list(weight), dtype=np.int32).reshape(m, 2)
+    w = np.fromiter(weight.values(), float, m)
+    # every edge both ways, rows sorted by tail, then by head
+    tails = np.concatenate((ends[:, 0], ends[:, 1]))
+    heads = np.concatenate((ends[:, 1], ends[:, 0]))
+    order = np.lexsort((heads, tails))
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    graph = csr_matrix((np.concatenate((w, w))[order], heads[order], indptr), shape=(n, n))
+    d = dijkstra(graph, directed=True)
     unreachable = np.argwhere(np.isinf(d))
     if unreachable.size:
         i, j = unreachable[0]

@@ -4,12 +4,16 @@ import itertools
 import json
 import math
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from randspaces import example_spaces, heavy_graph, random_connected_space
 from weakhj.calculus import distance_profile
+from weakhj.cost import quadratic
+from weakhj.funcineq import InequalityReport
+from weakhj.hj import ResidualReport, hj_boundary, obstruction_search
 from weakhj.space import (
     EXAMPLES,
     CapacityError,
@@ -83,6 +87,61 @@ def test_build_from_graph_errors():
         with pytest.raises(ValueError, match="non-positive"):
             build_from_graph(2, [(0, 1, w)])
 
+
+
+def _undirected_shortest_paths(n, edges):
+    # the reference: SciPy's COO-to-CSR matrix of the edges, kept once
+    # each at their least weight, and an undirected Dijkstra over it
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import shortest_path
+
+    weight = {}
+    for e in edges:
+        i, j, w = e if len(e) == 3 else (*e, 1.0)
+        key = (min(i, j), max(i, j))
+        weight[key] = min(w, weight.get(key, w))
+    rows, cols = [i for i, _ in weight], [j for _, j in weight]
+    graph = csr_matrix((list(weight.values()), (rows, cols)), shape=(n, n))
+    d = shortest_path(graph, method="D", directed=False)
+    return np.minimum(d, d.T)
+
+
+def _random_multigraph(rng, n):
+    # a spanning tree plus up to 2n extra edges, some of them parallel to
+    # earlier ones, a third of all edges given as unit-weight 2-tuples
+    edges = [(int(rng.integers(0, j)), j) for j in range(1, n)]
+    for _ in range(int(rng.integers(0, 2 * n + 1))):
+        edges.append(tuple(int(v) for v in rng.integers(0, n, size=2)))
+    edges += [edges[int(k)] for k in rng.integers(0, len(edges), size=n // 3)] if edges else []
+    out = []
+    for i, j in edges:
+        if i == j:
+            continue
+        if rng.random() < 1 / 3:
+            out.append((i, j) if rng.random() < 0.5 else (j, i))
+        else:
+            out.append((i, j, float(rng.uniform(0.3, 2.0))))
+    return out
+
+
+def test_graph_metric_equals_undirected_shortest_path():
+    # the CSR arrays built by hand give bit for bit the distances of
+    # SciPy's undirected shortest_path on its own COO-to-CSR conversion
+    rng = np.random.default_rng(2026)
+    sizes = [1, 2] + list(range(3, 41)) + [200, 517, 1100]
+    for n in sizes:
+        for _ in range(3 if n <= 40 else 1):
+            edges = _random_multigraph(rng, n)
+            got = build_from_graph(n, edges).dist
+            assert np.array_equal(got, _undirected_shortest_paths(n, edges)), n
+
+
+def test_disconnected_graph_message():
+    for n, edges, pair in ((3, [(0, 1)], (0, 2)), (2, [], (0, 1)),
+                           (5, [(0, 1), (1, 2, 0.5), (3, 4)], (0, 3))):
+        with pytest.raises(ValueError) as exc:
+            build_from_graph(n, edges)
+        assert str(exc.value) == f"graph is disconnected: no path between {pair[0]} and {pair[1]}"
 
 def test_path_cycle_complete_distances():
     path = build_example("path", 5)
@@ -173,6 +232,78 @@ def test_jsonable_maps_to_plain_json():
     json.dumps(out, allow_nan=False)
 
 
+
+def _both_ways(report):
+    # the dataclass read in place, and its deep-copied dict; json.dumps
+    # also pins the key order
+    out = jsonable(report)
+    assert out == jsonable(asdict(report))
+    assert json.dumps(out, indent=2) == json.dumps(jsonable(asdict(report)), indent=2)
+    json.dumps(out, allow_nan=False)
+    return out
+
+
+def test_jsonable_reads_reports_as_their_dicts():
+    rep = ResidualReport(cost="shrunk", holds=False, t=0.5,
+                         residuals=np.array([math.inf, -0.25, math.inf]),
+                         max_residual=math.inf, conjugate_infinite=(0, 2))
+    out = _both_ways(rep)
+    assert list(out) == ["kind", "cost", "holds", "t", "residuals",
+                         "max_residual", "conjugate_infinite"]
+    assert out["residuals"] == [None, -0.25, None] and out["max_residual"] is None
+
+    cycle = build_example("cycle", 6)
+    f = np.array([0.0, 1.0, 3.0, 2.0, 1.0, 0.5])
+    out = _both_ways(hj_boundary(f, quadratic(), cycle))
+    assert out["kind"] == "boundary" and len(out["limits"]) == 6
+
+    res = obstruction_search(build_example("path", 3))
+    assert res.status == "witness"
+    out = _both_ways(res)
+    assert list(out["witness"]) == ["f", "x", "s", "t", "lhs", "rhs", "gap"]
+    assert out["witness"]["f"] == res.witness.f.tolist()
+    assert out["detail"] == {"t_grid": [0.25, 0.5, 1.0]}
+
+    rep = InequalityReport(
+        inequality="poincare", constant=np.float64(1.5), best_ratio=np.float64(np.nan),
+        witness=np.array([0.5, -np.inf, 2.0]), verdict="inconclusive", restarts=1,
+        iterations=0, seed=3,
+        details={"gap": np.float64(np.inf), "count": np.int64(4), "ok": np.bool_(False),
+                 "rows": [np.float32(0.25), (np.int32(1), np.float64(-np.inf))],
+                 "nested": {"best": np.array([[1, 2], [3, 4]])}})
+    out = _both_ways(rep)
+    assert out["constant"] == 1.5 and out["best_ratio"] is None
+    assert out["witness"] == [0.5, None, 2.0]
+    assert out["details"] == {"gap": None, "count": 4, "ok": False,
+                              "rows": [0.25, [1, None]], "nested": {"best": [[1, 2], [3, 4]]}}
+    assert type(out["details"]["count"]) is int and type(out["details"]["ok"]) is bool
+
+
+def test_jsonable_arrays_as_before():
+    # bool, integer and finite float arrays go out by one tolist(); a
+    # float array holding NaN or an infinity element by element
+    cases = [
+        (np.array([True, False]), [True, False], bool),
+        (np.array([[1, -2], [3, 4]], dtype=np.int8), [[1, -2], [3, 4]], int),
+        (np.array([2 ** 63], dtype=np.uint64), [2 ** 63], int),
+        (np.array([0.5, -1e300, 0.0]), [0.5, -1e300, 0.0], float),
+        (np.array([[np.nan, 1.0], [np.inf, -np.inf]]), [[None, 1.0], [None, None]], float),
+        (np.array([0.25, np.nan], dtype=np.float32), [0.25, None], float),
+        (np.array(np.inf), None, None),
+        (np.array(3.5), 3.5, float),
+        (np.array(7), 7, int),
+        (np.zeros((0, 3)), [], None),
+    ]
+    for arr, expected, leaf in cases:
+        out = jsonable(arr)
+        assert out == expected, arr
+        flat = np.ravel(out).tolist() if isinstance(out, list) else [out]
+        assert all(type(v) is leaf for v in flat if v is not None), arr
+    # a NumPy float scalar is a float subclass: its NaN must not pass as a leaf
+    assert jsonable(np.float64(np.nan)) is None
+    assert jsonable([np.float64(np.inf), np.float64(2.0)]) == [None, 2.0]
+    assert type(jsonable(np.float64(2.0))) is float
+
 def test_capacity_limits():
     with pytest.raises(CapacityError):
         build_example("hypercube", 15)
@@ -257,6 +388,22 @@ def test_check_metric_axioms():
     assert check_metric(np.array([[0.0, 0.0], [0.0, 0.0]]))["axiom"] == "positivity"
     assert check_metric(np.array([[0.0, -1.0], [-1.0, 0.0]]))["axiom"] == "positivity"
 
+
+
+def test_triangle_witness_is_the_first_failing_j():
+    # a path metric with two distances stretched: the triangle fails
+    # through j = 4 and j = 5, at several (i, k) each; the witness is the
+    # first failing j and, under it, the first (i, k) in row-major order
+    d = np.abs(np.arange(7.0)[:, None] - np.arange(7.0))
+    for a, b, v in ((3, 6, 5.0), (4, 6, 3.5)):
+        d[a, b] = d[b, a] = v
+    tol = 1e-9
+    failing = [(i, j, k) for j in range(7) for i in range(7) for k in range(7)
+               if d[i, k] > d[i, j] + d[j, k] + tol * (1 + d[i, k])]
+    assert len(failing) > 2 and {j for _, j, _ in failing} == {4, 5}
+    assert failing[0] == (3, 4, 6)
+    assert check_metric(d) == {"axiom": "triangle", "witness": (3, 4, 6),
+                               "values": (5.0, 4.5)}
 
 def test_shortest_path_always_metric():
     # build_from_graph trusts this invariant and runs no check of its own
