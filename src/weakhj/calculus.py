@@ -1,5 +1,5 @@
-"""Nonlinear gradient, distance profiles, convex envelopes and the weak
-inf-convolution operator on a finite metric space.
+"""Nonlinear gradient, convex envelopes and the weak inf-convolution
+operator on a finite metric space.
 
 The weak operator at a point x reduces to a one-dimensional problem: build
 the profile u -> min { f(y) : d(x,y) = u }, take its lower convex envelope
@@ -9,6 +9,10 @@ attainers realize its endpoints.  On each envelope segment the minimizer has
 one closed form for every cost, u = t (alpha*)'(-slope) clipped to the
 segment.  The oracle weak_infconv_bruteforce applies the same closed form to
 every chord between two points, without the envelope, and so is exact too.
+
+Each object has one routine: `_gradient_argmax` takes one function or a
+stack of them, and `_profile_hull` with `_envelopes` builds the envelopes
+of every point at once, of which `envelope(f, x, space)` is row x.
 """
 
 from __future__ import annotations
@@ -18,26 +22,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .space import as_function, as_positive
+from .space import as_count, as_function, as_positive
 
 ARGMIN_TOL = 1e-9
 _FLAT_TOL = 1e-12
 _HULL_BLOCK = 1 << 18     # entries per hull or time block: 2 MB per temporary
 
 
-def _gradient_argmax(f, space):
-    """(|grad f|, ys): the nonlinear gradient and, per point x, the
-    competitor y maximizing (f(x) - f(y)) / d(x, y); the first index wins
-    ties.  Slopes are divided only off the diagonal (`space.off_diagonal`),
-    so the diagonal keeps f(x) - f(x) = 0 and no 0/0 arises, and the
-    gradient is read at the argmax rather than by a second reduction.  ys
+def _gradient_argmax(F, space):
+    """(|grad f|, ys) for every row f of the (..., n) float array F: the
+    nonlinear gradient and, per point x, the competitor y maximizing
+    (f(x) - f(y)) / d(x, y); the first index wins ties.  Slopes are divided
+    only off the diagonal (`space.off_diagonal`), so the diagonal keeps
+    f(x) - f(x) = 0 and no 0/0 arises, and the gradient is read at the
+    argmax through the flat slopes rather than by a second reduction.  ys
     is meaningful only where the gradient is positive: elsewhere the zero
-    diagonal slope may win."""
-    f = np.asarray(f, dtype=float)
-    slopes = f[:, None] - f
+    diagonal slope may win.  The slopes take n times the entries of F, so
+    a caller with many rows passes them in blocks."""
+    slopes = F[..., None] - F[..., None, :]
     np.divide(slopes, space.dist, out=slopes, where=space.off_diagonal)
-    ys = slopes.argmax(1)
-    return slopes[np.arange(len(f)), ys], ys
+    ys = slopes.argmax(-1)
+    # flat index of row r's argmax: r n + ys[r]
+    at = np.arange(0, slopes.size, F.shape[-1]).reshape(ys.shape) + ys
+    return slopes.ravel()[at], ys
 
 
 def tilde_gradient(f, space):
@@ -49,43 +56,6 @@ def tilde_gradient(f, space):
 def lipschitz_seminorm(f, space):
     """max_{x != y} |f(x) - f(y)| / d(x, y), the largest nonlinear gradient."""
     return float(tilde_gradient(f, space).max())
-
-
-def distance_profile(f, x, space):
-    """Sorted distinct distances from x with the minimal f value on each
-    sphere.  Returns (us, vs, attainers); attainers[k] is a point index
-    realizing vs[k].  Near-equal distances are merged (relative 1e-12)."""
-    f = np.asarray(f, dtype=float)
-    d = space.dist[x]
-    order = np.argsort(d, kind="stable")
-    us, vs, att = [], [], []
-    for i in order:
-        u = float(d[i])
-        if us and u - us[-1] <= 1e-12 * (1.0 + u):
-            if f[i] < vs[-1]:
-                vs[-1] = float(f[i])
-                att[-1] = int(i)
-        else:
-            us.append(u)
-            vs.append(float(f[i]))
-            att.append(int(i))
-    return np.array(us), np.array(vs), att
-
-
-def convex_envelope(us, vs):
-    """Indices of the lower convex hull of the profile points (monotone
-    sweep; collinear interior points are dropped)."""
-    hull = []
-    m = len(us)
-    for k in range(m):
-        while len(hull) >= 2:
-            i, j = hull[-2], hull[-1]
-            if (vs[j] - vs[i]) * (us[k] - us[j]) >= (vs[k] - vs[j]) * (us[j] - us[i]):
-                hull.pop()
-            else:
-                break
-        hull.append(k)
-    return hull
 
 
 @dataclass
@@ -113,10 +83,15 @@ class EnvelopeProfile:
 
 
 def envelope(f, x, space):
-    us, vs, att = distance_profile(as_function(f, space.n), x, space)
-    hull = convex_envelope(us, vs)
-    return EnvelopeProfile(x=x, us=us[hull], vs=vs[hull],
-                           attainers=[att[k] for k in hull])
+    """The lower convex envelope of the distance profile
+    u -> min { f(y) : d(x, y) = u } at the point x: row x of the envelopes
+    built for every point at once (`_envelopes`).  ValueError unless x is
+    an integer in range(n)."""
+    f = as_function(f, space.n)
+    x = as_count(x, "x", least=0)
+    if x >= space.n:
+        raise ValueError(f"x must be a point index below {space.n}, got {x}")
+    return _envelopes(f, *_profile_hull(f, space), space)[x]
 
 
 @dataclass
@@ -229,17 +204,7 @@ class WeakInfConv:
 
     @functools.cached_property
     def envelopes(self):
-        order, starts = self._space.distance_groups
-        U, V = self._profile
-        hull = self._hull
-        fs = self._f[order].ravel()
-        # the first point in stable order attaining each sphere's minimum
-        hits = np.flatnonzero(fs == np.repeat(V, np.diff(starts, append=fs.size)))
-        att = order.ravel()[hits[np.searchsorted(hits, starts[hull])]]
-        cut = np.flatnonzero(np.diff(starts[hull] // self._space.n)) + 1
-        return [EnvelopeProfile(x=x, us=us, vs=vs, attainers=a.tolist())
-                for x, (us, vs, a) in enumerate(zip(
-                    np.split(U[hull], cut), np.split(V[hull], cut), np.split(att, cut)))]
+        return _envelopes(self._f, *self._profile, self._hull, self._space)
 
     @functools.cached_property
     def argmin(self):
@@ -252,28 +217,53 @@ class WeakInfConv:
         return out
 
 
-def _infconv_times(f, ts, cost, space):
-    """Q~_t f at every time of ts in one stacked pass.
-
-    Returns ((U, V), hull, values, u_min, u_max, u_star): the distance
-    profiles and their hull vertices, which depend on f alone, then the
-    rows of weak_infconv at each time, each of shape (T, n).  f must be a
-    finite function on the space and ts a 1-D float array of positive
-    times; the callers check both.  Segment minimisation runs over blocks
-    of times of at most _HULL_BLOCK (time, segment) entries, so no
-    (T, n, n) array is formed."""
+def _profile_hull(f, space):
+    """(U, V, hull): the distance profiles of f at every point, laid out
+    flat in the row order of `space.distance_groups` (U the distinct
+    distances from x, V the least f on each sphere, point x's profile
+    before point x + 1's), and the indices into (U, V) of their lower
+    convex hull vertices (`_hull_vertices`)."""
     n = space.n
     order, starts = space.distance_groups
     rows = starts // n
     U = space.dist[rows, order.ravel()[starts]]
     V = np.minimum.reduceat(f[order].ravel(), starts)
-    hull = _hull_vertices(U, V, np.searchsorted(rows, np.arange(n + 1)))
+    return U, V, _hull_vertices(U, V, np.searchsorted(rows, np.arange(n + 1)))
+
+
+def _envelopes(f, U, V, hull, space):
+    """One EnvelopeProfile per point from the profiles and hull vertices of
+    `_profile_hull`.  A breakpoint's attainer is the first point, in the
+    stable row order of `space.distance_groups`, whose f value is its
+    sphere's minimum."""
+    order, starts = space.distance_groups
+    fs = f[order].ravel()
+    hits = np.flatnonzero(fs == np.repeat(V, np.diff(starts, append=fs.size)))
+    att = order.ravel()[hits[np.searchsorted(hits, starts[hull])]]
+    cut = np.flatnonzero(np.diff(starts[hull] // space.n)) + 1
+    return [EnvelopeProfile(x=x, us=us, vs=vs, attainers=a.tolist())
+            for x, (us, vs, a) in enumerate(zip(
+                np.split(U[hull], cut), np.split(V[hull], cut), np.split(att, cut)))]
+
+
+def _infconv_times(f, ts, cost, space):
+    """Q~_t f at every time of ts in one stacked pass.
+
+    Returns ((U, V), hull, values, u_min, u_max, u_star): the distance
+    profiles and their hull vertices, which depend on f alone
+    (`_profile_hull`), then the rows of weak_infconv at each time, each of
+    shape (T, n).  f must be a finite function on the space and ts a 1-D
+    float array of positive times; the callers check both.  Segment
+    minimisation runs over blocks of times of at most _HULL_BLOCK (time,
+    segment) entries, so no (T, n, n) array is formed."""
+    n = space.n
+    U, V, hull = _profile_hull(f, space)
     out = np.zeros((4, len(ts), n))
     if n == 1:
         out[0] = V
         return ((U, V), hull, *out)
     # segments join consecutive hull vertices of one point
-    hrow = rows[hull]
+    hrow = space.distance_groups[1][hull] // n
     same = hrow[1:] == hrow[:-1]
     a, b = hull[:-1][same], hull[1:][same]
     seg_row = hrow[:-1][same]
@@ -355,11 +345,12 @@ def gradient_envelope_identity(f, x, space):
     """Compare |grad f|(x) with the envelope's right slope at 0.
 
     They agree except possibly when x is the unique global minimizer, where
-    the gradient is 0 while the slope stays positive.
+    the gradient is 0 while the slope stays positive.  ValueError unless x
+    is an integer in range(n).
     """
     f = as_function(f, space.n)
+    s0 = envelope(f, x, space).first_slope()  # checks x
     g = float(tilde_gradient(f, space)[x])
-    s0 = envelope(f, x, space).first_slope()
     mins = np.flatnonzero(f <= f.min())
     unique_min = len(mins) == 1 and mins[0] == x
     return {

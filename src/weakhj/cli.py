@@ -206,7 +206,9 @@ def _to_csv(payload):
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (payload, exit_code), and reads the
-# space, vectors and cost that `_load_inputs` put in `args`
+# space, vectors and cost that `_load_inputs` put in `args`.  A payload may
+# hold report dataclasses as they are: `run` makes it plain JSON in one
+# `jsonable` walk
 
 
 def _cmd_space(args, inputs):
@@ -244,12 +246,11 @@ def _cmd_qtilde(args, inputs):
 def _cmd_hj_verify(args, inputs):
     grid = _parse_grid(args.t_grid)
     slices = hj_residuals(args.f, grid, args.cost, args.space)
-    payload = {"cost": args.cost.label(),
-               "slices": [s.to_json_dict() for s in slices]}
+    payload = {"cost": args.cost.label(), "slices": slices}
     holds = all(s.holds for s in slices)
     if args.boundary:
         boundary = hj_boundary(args.f, args.cost, args.space)
-        payload["boundary"] = boundary.to_json_dict()
+        payload["boundary"] = boundary
         holds = holds and boundary.holds
     payload["holds"] = bool(holds)
     return payload, 0 if holds else 2
@@ -260,7 +261,7 @@ def _cmd_obstruction(args, inputs):
     res = obstruction_search(args.space, t_grid=grid, trials=args.trials,
                              seed=args.seed)
     # the default family recovers f, so the status is witness or exhausted
-    return res.to_json_dict(), 2 if res.status == "witness" else 0
+    return res, 2 if res.status == "witness" else 0
 
 
 def _cmd_ttilde(args, inputs):
@@ -290,7 +291,7 @@ def _cmd_te_verify(args, inputs):
     report = check_transport_entropy(
         mu, args.C, args.cost, args.space, direction=args.direction,
         n_samples=args.samples, seed=args.seed)
-    return report.to_json_dict(), 2 if report.violated else 0
+    return report, 2 if report.violated else 0
 
 
 def _cmd_constants(args, inputs):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import _HULL_BLOCK, _infconv_times, tilde_gradient
+from .calculus import _HULL_BLOCK, _gradient_argmax, _infconv_times, tilde_gradient
 from .cost import quadratic
 from .space import as_count, as_function, as_positive, jsonable
 
@@ -90,14 +90,18 @@ def _residual_pass(f, ts, cost, space):
     """The one stacked pass behind `hj_residuals`: the (T, n) values
     Q~_t f and derivatives d/dt Q~_t f = -beta(u*/t) over the grid ts,
     and the residual reports built from them.  The gradients of all the
-    times come from one slope pass too (`_gradient_times`)."""
+    times come from `_gradient_argmax` on blocks of rows, each block's
+    slopes at most _HULL_BLOCK entries."""
     ts = np.array([as_positive(t, "t") for t in ts])
     if not ts.size:
         raise ValueError("ts must contain positive times")
     f = as_function(f, space.n)
     _, _, values, _, _, u_star = _infconv_times(f, ts, cost, space)
     dq = -cost.beta(u_star / ts[:, None])
-    g = _gradient_times(values, space)
+    g = np.empty_like(values)
+    step = max(1, _HULL_BLOCK // space.n ** 2)
+    for r in range(0, len(values), step):
+        g[r:r + step] = _gradient_argmax(values[r:r + step], space)[0]
     bound = cost.conjugate_domain_bound()
     if math.isfinite(bound):
         # smoothing caps slopes at the saturation value, but the quotient
@@ -119,23 +123,6 @@ def _residual_pass(f, ts, cost, space):
             conjugate_infinite=infinite,
         ))
     return values, dq, reports
-
-
-def _gradient_times(values, space):
-    """`tilde_gradient` of every row of the (T, n) values, from one
-    (times, n, n) slope pass in blocks of at most _HULL_BLOCK slopes.
-    The same divisions, only off the diagonal (`space.off_diagonal`), so
-    the diagonal keeps its zero slope and no 0/0 arises; each row's
-    largest slope is the value `tilde_gradient` reads at its argmax, so
-    every row equals it."""
-    n = space.n
-    g = np.empty_like(values)
-    step = max(1, _HULL_BLOCK // (n * n))
-    for r in range(0, len(values), step):
-        slopes = values[r:r + step, :, None] - values[r:r + step, None, :]
-        np.divide(slopes, space.dist, out=slopes, where=space.off_diagonal)
-        g[r:r + step] = slopes.max(axis=2)
-    return g
 
 
 def hj_residual(f, t, cost, space):

@@ -152,8 +152,9 @@ class MetricSpace:
         """(order, starts): the stable sort order of every row of `dist`,
         and the flat indices into the row-sorted matrix where a run of
         equal distances begins.  A distance within 1e-12 (relative) of its
-        run's first distance joins the run, the rule `distance_profile`
-        applies.  `dist` is read-only, so the cache never goes stale."""
+        run's first distance joins the run, so each run is one sphere of
+        the distance profiles `calculus._profile_hull` builds.  `dist` is
+        read-only, so the cache never goes stale."""
         n = self.n
         order = np.argsort(self.dist, axis=1, kind="stable")
         ds = np.take_along_axis(self.dist, order, axis=1)

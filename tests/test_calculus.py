@@ -8,14 +8,13 @@ here; the envelope solver must reproduce it everywhere to rounding.
 import numpy as np
 import pytest
 
+from envref import convex_envelope, distance_profile, reference_envelope
 from randspaces import example_spaces, random_connected_space
 from weakhj.calculus import (
     ARGMIN_TOL,
     _gradient_argmax,
     _segment_argmin,
     classical_infconv,
-    convex_envelope,
-    distance_profile,
     envelope,
     gradient_envelope_identity,
     lipschitz_seminorm,
@@ -100,6 +99,29 @@ def test_gradient_ties_go_to_the_first_index():
     g, ys = _gradient_argmax(np.array([0.0, 0.0, 1.0]), build_example("path", 3))
     assert g.tolist() == [0.0, 0.0, 1.0] and ys.tolist() == [0, 0, 1]
     assert not np.signbit(g).any()
+
+
+def test_stacked_gradient_equals_one_dimensional_calls():
+    # a (K, n) stack, whole, in blocks of two rows or as a (1, K, n)
+    # stack, gives each row's 1-D call bit for bit, for g and for ys
+    rng = np.random.default_rng(13)
+    spaces = example_spaces() + [random_connected_space(rng) for _ in range(10)]
+    spaces += [MetricSpace(np.zeros((1, 1))), build_example("path", 32)]
+    for sp in spaces:
+        F = np.vstack([rng.normal(size=(3, sp.n)),
+                       rng.integers(0, 3, (3, sp.n)).astype(float),   # tied slopes
+                       np.full((1, sp.n), -1.5)])
+        rows = [_gradient_argmax(f, sp) for f in F]
+        want_g = np.array([g for g, _ in rows])
+        want_ys = np.array([ys for _, ys in rows])
+        blocks = [_gradient_argmax(F[r:r + 2], sp) for r in range(0, len(F), 2)]
+        for g, ys in (_gradient_argmax(F, sp),
+                      tuple(np.concatenate(part) for part in zip(*blocks)),
+                      tuple(a[0] for a in _gradient_argmax(F[None], sp))):
+            assert g.shape == ys.shape == F.shape
+            assert g.tobytes() == want_g.tobytes()
+            assert ys.tolist() == want_ys.tolist()
+            assert not np.signbit(g).any()
 
 
 def test_lipschitz_seminorm():
@@ -266,6 +288,26 @@ def test_entry_points_reject_bad_functions(name, f, message):
         ENTRY_POINTS[name](f, build_example("two_point"))
 
 
+@pytest.mark.parametrize("name", ["envelope", "gradient_envelope_identity"])
+@pytest.mark.parametrize("x", [-1, 6, 2.5, True, "0", None])
+def test_entry_points_reject_bad_points(name, x):
+    # x = -1 once read the last point's envelope, x = True row 1, and
+    # x = 6 or 2.5 raised a bare IndexError
+    entry = {"envelope": envelope, "gradient_envelope_identity":
+             gradient_envelope_identity}[name]
+    with pytest.raises(ValueError, match="x must be"):
+        entry(np.arange(6.0), x, build_example("cycle", 6))
+
+
+def test_entry_points_take_numpy_point_indices():
+    sp = build_example("cycle", 6)
+    f = np.arange(6.0)
+    env = envelope(f, np.int64(5), sp)
+    assert env.x == 5 and type(env.x) is int
+    assert env.attainers == reference_envelope(f, 5, sp).attainers
+    assert gradient_envelope_identity(f, np.int32(5), sp)["gradient"] == 5.0
+
+
 # -- oracle equivalence ------------------------------------------------------
 
 def test_bruteforce_two_point_value():
@@ -325,8 +367,8 @@ def test_bruteforce_builds_no_envelope(monkeypatch):
     def banned(*args, **kwargs):
         raise AssertionError("oracle called the envelope code")
 
-    for name in ("_segment_argmin", "_hull_vertices", "envelope", "distance_profile",
-                 "convex_envelope"):
+    for name in ("_segment_argmin", "_hull_vertices", "_profile_hull", "_envelopes",
+                 "envelope"):
         monkeypatch.setattr(calc, name, banned)
     monkeypatch.setattr(MetricSpace, "distance_groups", property(banned))
     sp = build_example("cycle", 5)
@@ -526,9 +568,11 @@ def test_identity_equal_at_nonminimal_points():
 
 def test_profile_merges_near_equal_distances():
     sp = build_from_graph(3, [(0, 1, 1.0), (0, 2, 1.0 + 1e-14)])
-    us, vs, _ = distance_profile(np.array([5.0, 2.0, 1.0]), 0, sp)
+    f = np.array([5.0, 2.0, 1.0])
+    us, vs, _ = distance_profile(f, 0, sp)
     np.testing.assert_array_equal(us, [0.0, 1.0])
     assert vs[1] == 1.0  # minimum over the merged sphere
+    assert envelope(f, 0, sp).us.tolist() == [0.0, 1.0]
 
 
 # -- batched operator against the per-point reference ---------------------------
@@ -574,10 +618,11 @@ def _segment_argmin_loop(u0, v0, u1, v1, t, cost):
 
 
 def _weak_infconv_loop(f, t, cost, sp):
-    """Point-by-point reference: envelope(), then every segment in turn."""
+    """Point-by-point reference: reference_envelope(), then every segment
+    in turn."""
     values, intervals = [], []
     for x in range(sp.n):
-        env = envelope(f, x, sp)
+        env = reference_envelope(f, x, sp)
         if len(env.us) == 1:
             values.append(env.vs[0])
             intervals.append((0.0, 0.0))
@@ -607,9 +652,9 @@ def _equivalence_spaces():
 
 
 def test_batched_matches_per_point_reference():
-    """Envelopes equal envelope() exactly (ties included, via integer f);
-    values and argmin intervals equal the point-by-point loop to 1e-12;
-    interior segment minimizers are stationary to 1e-10."""
+    """Envelopes equal reference_envelope() exactly (ties included, via
+    integer f); values and argmin intervals equal the point-by-point loop
+    to 1e-12; interior segment minimizers are stationary to 1e-10."""
     rng = np.random.default_rng(67)
     for sp in _equivalence_spaces():
         gauss = 2.0 * rng.standard_normal(sp.n)
@@ -618,7 +663,7 @@ def test_batched_matches_per_point_reference():
                 t = float(rng.uniform(0.1, 2.0))
                 r = weak_infconv(f, t, cost, sp)
                 for x, env in enumerate(r.envelopes):
-                    ref = envelope(f, x, sp)
+                    ref = reference_envelope(f, x, sp)
                     np.testing.assert_array_equal(env.us, ref.us)
                     np.testing.assert_array_equal(env.vs, ref.vs)
                     assert env.attainers == ref.attainers

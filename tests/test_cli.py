@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from randspaces import heavy_graph
-from weakhj.cli import _build_parser, _parse_grid, run
+from weakhj.cli import _build_parser, _parse_grid, _to_csv, run
 from weakhj.cost import parse_cost_spec
-from weakhj.hj import hj_residual
-from weakhj.space import EXAMPLES, build_example
+from weakhj.hj import hj_boundary, hj_residual, hj_residuals, obstruction_search
+from weakhj.space import EXAMPLES, build_example, uniform_measure
+from weakhj.transport import check_transport_entropy
 
 MANIFEST_KEYS = {"command", "inputs", "seed", "version", "wall_time_s"}
 
@@ -428,6 +429,48 @@ def test_csv_flattening(capsys):
     assert lines[2] == "cost,quadratic"
     assert lines[3] == "values,0.75;0.0"
     assert "argmin[0],0.5;0.5" in lines
+
+
+def _hj_verify_by_dicts(spec, f, cost):
+    space, cost = build_example(*spec), parse_cost_spec(cost)
+    slices = hj_residuals(f, _parse_grid("0.1:2:0.1"), cost, space)
+    boundary = hj_boundary(f, cost, space)
+    return {"cost": cost.label(), "slices": [s.to_json_dict() for s in slices],
+            "boundary": boundary.to_json_dict(),
+            "holds": all(s.holds for s in slices) and boundary.holds}
+
+
+REPORT_COMMANDS = {
+    "hj-verify": (
+        ["hj-verify", "--space", "cycle:6", "--f", "0,3,0,1,0.2,0.5",
+         "--cost", "qlin:a=0.25,h=2", "--boundary"],
+        lambda: _hj_verify_by_dicts(("cycle", 6), [0, 3, 0, 1, 0.2, 0.5],
+                                    "qlin:a=0.25,h=2")),
+    "obstruction": (
+        ["obstruction", "--space", "cycle:5", "--trials", "3"],
+        lambda: obstruction_search(build_example("cycle", 5), trials=3,
+                                   seed=0).to_json_dict()),
+    "te-verify": (
+        ["te-verify", "--space", "hypercube:2", "--C", "1", "--samples", "20"],
+        lambda: check_transport_entropy(
+            uniform_measure(4), 1.0, parse_cost_spec("quadratic"),
+            build_example("hypercube", 2), n_samples=20).to_json_dict()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(REPORT_COMMANDS))
+def test_report_payloads_print_their_json_dicts(command, capsys):
+    # the handlers hand their report objects to the one `jsonable` walk in
+    # `run`; the printed bytes, JSON and CSV, are those of the reports'
+    # `to_json_dict` payloads, as before, apart from the wall time
+    argv, by_dicts = REPORT_COMMANDS[command]
+    want = by_dicts()
+    _, out = invoke(capsys, *argv)
+    doc = json.loads(out)
+    assert out == json.dumps({"manifest": doc["manifest"], "result": want},
+                             indent=2) + "\n"
+    _, out = invoke(capsys, *argv, "--csv")
+    assert out == _to_csv(want)
 
 
 def test_payload_reproducible_across_runs(capsys):

@@ -319,18 +319,18 @@ def test_stacked_rows_equal_one_time_calls(cost):
 @pytest.mark.parametrize("block", [_HULL_BLOCK, 100])
 @pytest.mark.parametrize("cost", GRID_COSTS, ids=lambda c: c.label())
 def test_stacked_gradient_equals_per_time_gradient(cost, block, monkeypatch):
-    # the grid's slope pass, whole or in blocks of a few times, against
-    # one tilde_gradient per time
+    # the grid's stacked gradient, whole or in blocks of a few times,
+    # against one tilde_gradient per time
     import weakhj.hj as hj
 
     def per_time(values, space):
-        return np.array([tilde_gradient(q, space) for q in values])
+        return np.array([tilde_gradient(q, space) for q in values]), None
 
     monkeypatch.setattr(hj, "_HULL_BLOCK", block)
     for space, f in _grid_cases():
         got = hj_residuals(f, GRID_TS, cost, space)
         with monkeypatch.context() as m:
-            m.setattr(hj, "_gradient_times", per_time)
+            m.setattr(hj, "_gradient_argmax", per_time)
             ref = hj_residuals(f, GRID_TS, cost, space)
         for a, b in zip(got, ref):
             _assert_bitwise(a, b)

@@ -9,8 +9,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from envref import distance_profile
 from randspaces import example_spaces, heavy_graph, random_connected_space
-from weakhj.calculus import distance_profile
 from weakhj.cost import quadratic
 from weakhj.funcineq import InequalityReport
 from weakhj.hj import ResidualReport, hj_boundary, obstruction_search
