@@ -49,8 +49,9 @@ def _gradient_argmax(F, space):
 
 def tilde_gradient(f, space):
     """|grad f|(x) = max_y max(0, f(x) - f(y)) / d(x, y); zero when x has no
-    strictly lower point (0/0 convention at global minima)."""
-    return _gradient_argmax(as_function(f, space.n), space)[0]
+    strictly lower point (0/0 convention at global minima).  Never -0.0:
+    a -0.0 slope that ties the zero diagonal first reads as 0.0."""
+    return _gradient_argmax(as_function(f, space.n), space)[0] + 0.0
 
 
 def lipschitz_seminorm(f, space):
@@ -335,10 +336,10 @@ def classical_infconv(f, t, cost, space):
 def time_derivative(f, t, cost, space, result=None):
     """Exact t-derivative of the weak inf-convolution: -beta(u/t) at the
     minimizer u of the best envelope segment (beta is constant on the
-    argmin set)."""
+    argmin set), written 0.0 - beta so that a zero rate is not -0.0."""
     if result is None:
         result = weak_infconv(f, t, cost, space)
-    return -cost.beta(result.u_star / t)
+    return 0.0 - cost.beta(result.u_star / t)
 
 
 def gradient_envelope_identity(f, x, space):

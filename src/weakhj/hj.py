@@ -6,13 +6,14 @@ the exact derivative formula and certifies that it is non-positive (one
 `ResidualReport` per time, from one stacked evaluation of Q~_t f over
 the grid, whose values and derivatives `_residual_pass` also returns);
 `hj_residual` is its one-time case.  `hj_boundary` reads the
-small-time limit of (Q~_t f - f)/t at times small enough for the ratio
-to equal it, all from one stacked evaluation, and matches it against
--alpha*(|grad f|) (a `BoundaryReport`).  `obstruction_search` looks for
-a quadruple (f, x, s, t) breaking the semigroup law of the classical point-mass
-evolution Q_t f(x) = min_y f(y) + D_t(x, y), starting from the
-adversarial functions that certify no such family of mappings D_t can
-be a semigroup on a connected space.
+small-time limit of (Q~_t f - f)/t at each point's own time, small
+enough for the ratio to equal it, all from one stacked evaluation, and
+matches it against -alpha*(|grad f|) (a `BoundaryReport`).
+`obstruction_search` looks for a quadruple (f, x, s, t) breaking the
+semigroup law of the classical point-mass evolution
+Q_t f(x) = min_y f(y) + D_t(x, y), starting from the adversarial
+functions that certify no such family of mappings D_t can be a semigroup
+on a connected space.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .space import as_count, as_function, as_positive, jsonable
 RESIDUAL_TOL = 1e-9
 BOUNDARY_TOL = 1e-6
 OBSTRUCTION_TOL = 1e-6
-_EPS = np.finfo(float).eps
 
 _DEFAULT_OBSTRUCTION_TS = (0.25, 0.5, 1.0)
 
@@ -53,9 +53,10 @@ class ResidualReport:
 
 @dataclass
 class BoundaryReport:
-    """The t -> 0 boundary identity per point: the `limits` read at one
-    small time, the `targets` -alpha*(|grad f|), their absolute `errors`,
-    and the `excluded` points whose gradient leaves the conjugate domain."""
+    """The t -> 0 boundary identity per point: the `limits` read at each
+    point's own small time, the `targets` -alpha*(|grad f|), their absolute
+    `errors`, and the `excluded` points whose gradient leaves the conjugate
+    domain."""
 
     kind: str = field(default="boundary", init=False)
     cost: str
@@ -97,7 +98,8 @@ def _residual_pass(f, ts, cost, space):
         raise ValueError("ts must contain positive times")
     f = as_function(f, space.n)
     _, _, values, _, _, u_star = _infconv_times(f, ts, cost, space)
-    dq = -cost.beta(u_star / ts[:, None])
+    # 0.0 - x rather than -x, which turns a zero rate into -0.0
+    dq = 0.0 - cost.beta(u_star / ts[:, None])
     g = np.empty_like(values)
     step = max(1, _HULL_BLOCK // space.n ** 2)
     for r in range(0, len(values), step):
@@ -136,44 +138,33 @@ def hj_boundary(f, cost, space):
     On a finite space the limit is reached: with d_min the smallest
     positive distance (1 on one point), the minimiser at x lies on its
     first envelope segment, where Q~_t f = f - t alpha*(|grad f|), for
-    every t <= d_min / (alpha*)'(|grad f|(x)).  `limits` is (Q~_t f - f)/t
-    at half that bound for G, the largest |grad f| over the verified
-    points (at d_min when G = 0).  A point whose ratio could lose a
-    thousandth of its tolerance to rounding there, a flat point with
-    large |f|, is read again at its own time when that is longer: the
-    largest power of two at most d_min and half its own bound; every
-    time is read from one stacked evaluation of Q~_t f.  A point
-    verifies when its error is at most 1e-6 (1 + |target|), since
-    the rounding of the ratio grows with the target; `max_error` is the
+    every t <= d_min / (alpha*)'(|grad f|(x)).  So each point x is read
+    at its own time t_x, the largest power of two at most d_min and half
+    that bound, and `limits[x]` is (Q~_{t_x} f(x) - f(x)) / t_x; every
+    distinct t_x comes from one stacked evaluation of Q~_t f.  A point
+    verifies when its error is at most 1e-6 (1 + |target|), since the
+    rounding of the ratio grows with the target; `max_error` is the
     largest absolute error.  Points with |grad f|(x) >= l, where l bounds
-    the conjugate domain, are excluded from the verdict and listed.
+    the conjugate domain, are excluded from the verdict and listed; they
+    are read at the shortest time of the verified points, which always
+    include a minimiser of f.  ValueError when a time underflows to 0.
     """
     f = as_function(f, space.n)
     g = tilde_gradient(f, space)
-    bound = cost.conjugate_domain_bound()
-    mask = g < bound
+    mask = g < cost.conjugate_domain_bound()
     excluded = tuple(int(i) for i in np.flatnonzero(~mask))
-    steepest = float(g[mask].max(initial=0.0))
     d_min = _smallest_distance(space)
-    t = as_positive(d_min / (2.0 * cost.conjugate_deriv(steepest))
-                    if steepest > 0 else d_min, "t")
-    targets = -np.atleast_1d(np.asarray(cost.conjugate(g), dtype=float))
-
-    # rounding costs the ratio about eps (1 + |f(x)|) / t; powers of two
-    # let points share a time
-    loose = mask & (4.0 * _EPS * (1.0 + np.abs(f)) / t
-                    > 1e-3 * BOUNDARY_TOL * (1.0 + np.abs(targets)))
-    ts = [t]
-    if loose.any():
-        with np.errstate(divide="ignore"):
-            own = 2.0 ** np.floor(np.log2(np.minimum(
-                d_min, d_min / (2.0 * cost.conjugate_deriv(g[loose])))))
-        ts += np.unique(own[own > t]).tolist()
-    values = _infconv_times(f, np.array(ts), cost, space)[2]
-    limits = (values[0] - f) / t
-    for s, q in zip(ts[1:], values[1:]):
-        at = np.flatnonzero(loose)[own == s]
-        limits[at] = (q[at] - f[at]) / s
+    with np.errstate(divide="ignore"):
+        own = 2.0 ** np.floor(np.log2(np.minimum(
+            d_min, d_min / (2.0 * cost.conjugate_deriv(g[mask])))))
+    t_x = np.full(space.n, own.min(initial=d_min))
+    t_x[mask] = own
+    ts = np.unique(t_x)
+    as_positive(ts[0], "boundary time")
+    values = _infconv_times(f, ts, cost, space)[2]
+    limits = (values[np.searchsorted(ts, t_x), np.arange(space.n)] - f) / t_x
+    # 0.0 - x, as in _residual_pass
+    targets = 0.0 - np.atleast_1d(np.asarray(cost.conjugate(g), dtype=float))
 
     errors = np.abs(limits - targets)
     ok = errors[mask] <= BOUNDARY_TOL * (1.0 + np.abs(targets[mask]))

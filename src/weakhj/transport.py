@@ -129,22 +129,17 @@ class SolverError(RuntimeError):
 
 def _greedy_plan(costs, sup, dem):
     """The least-cost greedy plan: each cell in increasing order of cost
-    ships all it can.  A square cost that is non-negative and zero on the
-    diagonal (every caller's, a metric scaled row by row) first ships
-    min(supply, demand) from each point to itself.  Each shipment exhausts
-    its row or its column exactly, so the positive cells form a forest."""
+    ships all it can, ties in row-major order.  Every caller's cost (a
+    metric scaled row by row) is zero on the diagonal and positive off it
+    on the columns with demand, so the plan first ships min(supply,
+    demand) from each point to itself.  Each shipment exhausts its row or
+    its column exactly, so the positive cells form a forest."""
     ns, nd = costs.shape
     flow = np.zeros((ns, nd))
     s, d = sup.tolist(), dem.tolist()
-    if ns == nd and costs.min() >= 0 and not np.diagonal(costs).any():
-        for i in range(ns):
-            ship = flow[i, i] = min(s[i], d[i])
-            s[i] -= ship  # one of the two becomes exactly 0
-            d[i] -= ship
     rows = [i for i in range(ns) if s[i] > 0]
     cols = [j for j in range(nd) if d[j] > 0]
     left_s, left_d = len(rows), len(cols)
-    # a stable sort of the cells left keeps the order of the whole matrix
     for k in np.argsort(costs[rows][:, cols], axis=None, kind="stable").tolist():
         if not (left_s and left_d):
             break

@@ -43,6 +43,12 @@ def test_gradient_constant_zero():
                                       np.zeros(sp.n))
 
 
+def test_gradient_has_no_negative_zero():
+    # the slope -0.0 of x = 1 ties the zero diagonal and comes first
+    g = tilde_gradient([0.0, -0.0], build_example("two_point"))
+    assert not np.signbit(g).any()
+
+
 def test_gradient_path3_competitors():
     sp = build_example("path", 3)
     g = tilde_gradient([0.0, 5.0, 1.0], sp)

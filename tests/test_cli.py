@@ -658,7 +658,12 @@ def test_readme_lists_every_command_and_example():
 def _strict_json(text):
     def refuse(name):
         raise ValueError(f"non-JSON constant {name}")
-    return json.loads(text, parse_constant=refuse)
+
+    def number(token):
+        if token.startswith("-") and float(token) == 0.0:
+            raise ValueError(f"negative zero {token}")
+        return float(token)
+    return json.loads(text, parse_constant=refuse, parse_float=number)
 
 
 @pytest.mark.parametrize("argv", _readme_commands() + [

@@ -208,20 +208,47 @@ def test_two_point_report_evaluates_its_grid_once(stacked_times):
     assert len(stacked_times) == 2
 
 
+def _own_times(f, cost, space):
+    """Each point's boundary time: the largest power of two at most d_min
+    and d_min / (2 (alpha*)'(|grad f|(x))), or the shortest such time of
+    the verified points where the gradient leaves the conjugate domain."""
+    g = tilde_gradient(f, space)
+    d_min = float(space.dist[space.dist > 0].min())
+    verified = g < cost.conjugate_domain_bound()
+    t = np.full(space.n, np.inf)
+    for x in np.flatnonzero(verified):
+        bound = d_min if g[x] == 0 else d_min / (2.0 * cost.conjugate_deriv(g[x]))
+        t[x] = 2.0 ** math.floor(math.log2(min(d_min, bound)))
+    return np.where(verified, t, t.min()), verified
+
+
 def test_boundary_evaluates_only_the_ratios_it_reads(stacked_times):
     f = np.array([0.7, -0.3, 0.2, 1.1, 0.4])
     space, cost = build_example("path", 5), power(3)
     rep = hj_boundary(f, cost, space)
-    # t = d_min / (2 (alpha*)'(G)) with d_min = 1 and (alpha*)'(y) = y^(1/2)
-    t = 1.0 / (2.0 * np.sqrt(np.max(tilde_gradient(f, space))))
-    assert stacked_times == [[t]]
-    np.testing.assert_array_equal(
-        rep.limits, (weak_infconv(f, t, cost, space).values - f) / t)
+    t_x = _own_times(f, cost, space)[0]
+    assert stacked_times == [sorted(set(t_x.tolist()))]
+    for x, t in enumerate(t_x.tolist()):
+        assert rep.limits[x] == (weak_infconv(f, t, cost, space).values[x] - f[x]) / t
+
+
+def test_boundary_reads_excluded_points_at_the_shortest_time(stacked_times):
+    # l = 2ah = 1: x = 0 is excluded, x = 2 reads at 2^-2 <= 1 / (2 * 1.8)
+    f = np.array([3.0, 0.0, 0.9])
+    space, cost = build_example("path", 3), quadratic_linear(0.25, 2.0)
+    rep = hj_boundary(f, cost, space)
+    assert rep.excluded == (0,) and rep.holds
+    assert stacked_times == [[0.25, 1.0]]
+    t_x, verified = _own_times(f, cost, space)
+    assert t_x.tolist() == [0.25, 1.0, 0.25] and verified.tolist() == [False, True, True]
+    q = weak_infconv(f, 0.25, cost, space).values[0]
+    assert rep.limits[0] == (q - f[0]) / 0.25
 
 
 def test_boundary_rereads_flat_points_at_their_own_time(stacked_times):
     # power:p=1.2 has alpha*(y) = y^6/6, so the steepest point's time falls
-    # as G^-5 and a flat point with large |f| lost its ratio to rounding
+    # as G^-5; a flat point with large |f| read at that time lost its
+    # ratio to rounding, and at its own time it keeps it
     rng = np.random.default_rng(11)
     cost = power(1.2)
     failed = []
@@ -239,18 +266,26 @@ def test_boundary_rereads_flat_points_at_their_own_time(stacked_times):
         rep = hj_boundary(f, cost, space)
         if not rep.holds:
             failed.append((n, rep.max_error))
-        assert len(stacked_times) == 1 and len(stacked_times[0]) <= 9
+        t_x, verified = _own_times(f, cost, space)
+        assert stacked_times == [sorted(set(t_x.tolist()))]
+        target = rep.targets[verified]
+        assert np.all(rep.errors[verified] <= 1e-12 * (1.0 + np.abs(target)))
     assert failed == []
 
 
 @pytest.mark.parametrize("cost", [quadratic(), power(3), quadratic_linear(0.25, 2.0)])
 def test_boundary_reads_a_random_walk_once(stacked_times, cost):
     # steps below 2ah = 1 keep |grad f| inside the qlin conjugate's domain;
-    # no point of a walk this flat needs a second read
+    # with |grad f| <= 0.45, (alpha*)' stays below 1/2 for the quadratic,
+    # so every point reads at d_min; for the other two it passes 1/2 but
+    # not 1, so points read at d_min or d_min / 2
+    rows = 1 if cost.label() == "quadratic" else 2
     rng = np.random.default_rng(3)
     f = np.concatenate([[0.0], np.cumsum(rng.uniform(-0.45, 0.45, 31))])
-    rep = hj_boundary(f, cost, build_example("path", 32))
-    assert rep.holds and stacked_times == [stacked_times[0][:1]]
+    space = build_example("path", 32)
+    rep = hj_boundary(f, cost, space)
+    assert rep.holds and len(stacked_times) == 1 and len(stacked_times[0]) == rows
+    assert stacked_times[0] == sorted(set(_own_times(f, cost, space)[0].tolist()))
 
 
 @pytest.mark.parametrize("peak", [1e3, 1e4])

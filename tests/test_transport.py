@@ -66,8 +66,8 @@ def _linear_plan_cases():
     spaces = example_spaces()
     for k in range(60):
         # the costs the solvers pass, a metric scaled row by row: zero on
-        # the diagonal, so the plan starts from shipping each point's
-        # common mass to itself.  Integer scales zero whole rows and, on
+        # the diagonal, which the greedy plan ships first unless its row
+        # is zero too.  Integer scales zero whole rows and, on
         # the integer example metrics, tie everywhere; integer masses put
         # zeros in both histograms
         sp = spaces[k % len(spaces)] if k % 2 else random_connected_space(rng)
