@@ -11,8 +11,9 @@ segment.  The oracle weak_infconv_bruteforce applies the same closed form to
 every chord between two points, without the envelope, and so is exact too.
 
 Each object has one routine: `_gradient_argmax` takes one function or a
-stack of them, and `_profile_hull` with `_envelopes` builds the envelopes
-of every point at once, of which `envelope(f, x, space)` is row x.
+stack of them and `_gradient_pullback` is its chain rule; `_profile_hull`
+with `_envelopes` builds the envelopes of every point at once, of which
+`envelope(f, x, space)` is row x.
 """
 
 from __future__ import annotations
@@ -45,6 +46,19 @@ def _gradient_argmax(F, space):
     # flat index of row r's argmax: r n + ys[r]
     at = np.arange(0, slopes.size, F.shape[-1]).reshape(ys.shape) + ys
     return slopes.ravel()[at], ys
+
+
+def _gradient_pullback(out, c, g, ys, space):
+    """Add sum_x c(x) d|grad f|(x)/df to out, for (g, ys) =
+    `_gradient_argmax(f, space)` of one function f: at a point x of
+    positive gradient, |grad f|(x) = (f(x) - f(y)) / d(x, y) with y =
+    ys[x], so c(x) / d(x, y) is added at x and subtracted at y; a point of
+    zero gradient adds nothing."""
+    active = np.flatnonzero(g > 0)
+    to = ys[active]
+    coef = c[active] / space.dist[active, to]
+    np.add.at(out, active, coef)
+    np.subtract.at(out, to, coef)
 
 
 def tilde_gradient(f, space):
@@ -115,7 +129,9 @@ def _segment_argmin(u0, v0, u1, v1, t, cost):
     qlin's saturated derivative adds a case: at slope -2ah the whole ray
     [t h, u1] is stationary."""
     s = (v1 - v0) / (u1 - u0)
-    lo = hi = np.clip(t * cost.conjugate_deriv(np.maximum(-s, 0.0)), u0, u1)
+    # a stationary point past the largest float clips to u1
+    with np.errstate(over="ignore"):
+        lo = hi = np.clip(t * cost.conjugate_deriv(np.maximum(-s, 0.0)), u0, u1)
     if cost.kind == "qlin":
         l = cost.conjugate_domain_bound()
         flat = (s < 0.0) & (np.abs(-s - l) <= _FLAT_TOL * (1.0 + l))

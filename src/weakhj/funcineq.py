@@ -6,11 +6,11 @@ nonlinear gradient, hypercontractive norm growth of the weak
 inf-convolution semigroup and its sampled sweep (at (rho, t) = (0, 1)
 the exponential dual bound of the transport inequality).
 
-Every estimator returns an :class:`InequalityReport`.  A
-"certified-no-violation" verdict is an empirical statement at the
-configured search budget, never a proof; a "violated" verdict always
-carries a witness function whose ratio re-evaluates above the tested
-constant.
+Every estimator returns an :class:`InequalityReport`, judged by one rule
+per inequality: `verdict` for a constant search, the samples' own checks
+for a sampled sweep (`_sweep`).  A "certified-no-violation" verdict is an
+empirical statement at the configured search budget, never a proof; a
+"violated" verdict always carries a witness that its check rejects.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import _gradient_argmax, weak_infconv
+from .calculus import _gradient_argmax, _gradient_pullback, weak_infconv
 from .cost import quadratic
 from .space import as_count, as_function, as_measure, as_positive, jsonable
 
@@ -145,10 +145,12 @@ class InequalityReport:
     """Outcome of an inequality sweep or constant search.
 
     `best_ratio` is the largest LHS/RHS ratio found and `witness` the
-    function (or measure) achieving it.  The verdict is "violated" only
-    when the witness re-evaluates above `constant` + RATIO_SLACK, and
-    "inconclusive" when a sampled sweep evaluated no sample or, short of
-    a violation, rested on an unconverged transport solve.
+    function (or measure) achieving it.  A constant search is "violated"
+    when its best ratio exceeds `constant` by more than RATIO_SLACK
+    (`verdict`); a sampled sweep is "violated" when its best-scoring
+    sample fails that sample's own check, and "inconclusive" when it
+    evaluated no sample or, short of a violation, some sample's check was
+    inconclusive (`_sweep`).
     """
 
     inequality: str
@@ -174,29 +176,31 @@ def verdict(ratio, constant):
     return "violated" if ratio > constant + RATIO_SLACK else "certified-no-violation"
 
 
-def _sweep(inequality, constant, samples, seed, evaluate, details, threshold=None):
+def _sweep(inequality, constant, samples, seed, evaluate, details):
     """The loop of every sampled verifier.
 
     `evaluate(rng, k)` draws the k-th sample from one generator seeded
-    with `seed` and returns None to skip it, else (score, ratio,
-    witness).  The first sample of highest score wins: its ratio is the
-    report's `best_ratio`, and its score is tested against `threshold`
-    (default `constant`) and passed to `details(score)`.  `iterations`
-    counts the evaluated samples; a sweep that evaluated none is
-    "inconclusive".
+    with `seed` and returns None to skip it, else (score, verdict, ratio,
+    witness), the verdict by that sample's own check.  The first sample
+    of highest score wins: its ratio is the report's `best_ratio` and its
+    score is passed to `details(score)`.  The report is "violated" when
+    the winner is, else "inconclusive" when some sample was or none was
+    evaluated, else "certified-no-violation".  `iterations` counts the
+    evaluated samples.
     """
     samples = as_count(samples, "samples")
     rng = np.random.default_rng(seed)
-    best, ratio, witness, evaluated = -math.inf, 0.0, None, 0
+    best, tested, ratio, witness, evaluated, unsure = -math.inf, None, 0.0, None, 0, False
     for k in range(samples):
         out = evaluate(rng, k)
         if out is None:
             continue
         evaluated += 1
+        unsure = unsure or out[1] == "inconclusive"
         if out[0] > best:
-            best, ratio, witness = out
-    tested = "inconclusive" if not evaluated else verdict(
-        best, constant if threshold is None else threshold)
+            best, tested, ratio, witness = out
+    if tested != "violated":
+        tested = "inconclusive" if unsure or not evaluated else "certified-no-violation"
     return InequalityReport(inequality, constant, ratio, witness, tested, 1,
                             evaluated, seed, details(best))
 
@@ -244,12 +248,10 @@ def _ascend(value_and_grad, f0, iterations, range_target):
     return best_r, best_f, it
 
 
-def _run_restarts(value_and_grad, space, restarts, seed, rescan=None):
-    # each restart ascends at the amplitude of its seed function; `rescan`
-    # maps the unit-range best shape to its ratios at the _AMPLITUDES, and
-    # the first of the largest replaces the best ratio if it is larger.
-    # Returns (ratio, witness, gradients evaluated, index of the winning
-    # restart or None)
+def _run_restarts(value_and_grad, space, restarts, seed):
+    # each restart ascends at the amplitude of its seed function.  Returns
+    # (ratio, witness, gradients evaluated, index of the winning restart
+    # or None)
     best_r, best_f, best_k, steps = -np.inf, None, None, 0
     for k, child in enumerate(np.random.SeedSequence(seed).spawn(restarts)):
         rng = np.random.default_rng(child)
@@ -258,18 +260,10 @@ def _run_restarts(value_and_grad, space, restarts, seed, rescan=None):
         steps += taken
         if r > best_r:
             best_r, best_f, best_k = r, fb, k
-    if rescan is not None and best_f is not None and np.ptp(best_f) > 0:
-        unit = (best_f - best_f.min()) / np.ptp(best_f)
-        ratios = rescan(unit)
-        j = int(np.argmax(ratios))
-        if ratios[j] > best_r:
-            best_r, best_f = float(ratios[j]), _AMPLITUDES[j] * unit
     return best_r, best_f, steps, best_k
 
 
 def _poincare_value_and_grad(mu, space):
-    d = space.dist
-
     def vg(f):
         g, ys = _gradient_argmax(f, space)
         energy = float(mu @ g ** 2)
@@ -278,70 +272,47 @@ def _poincare_value_and_grad(mu, space):
         centered = f - float(mu @ f)
         ratio = float(mu @ centered ** 2) / energy
         grad = 2.0 * mu * centered
-        active = np.flatnonzero(g > 0)
-        to = ys[active]
-        coef = 2.0 * ratio * mu[active] * g[active] / d[active, to]
-        grad[active] -= coef
-        np.add.at(grad, to, coef)
+        _gradient_pullback(grad, (-2.0 * ratio) * mu * g, g, ys, space)
         return ratio, grad
 
     return vg
 
 
 def _mlsi_ratio(F, G, mu, cost):
-    # (ref, w, conj, ratio) per row f of the stack F with gradient rows G:
-    # Ent_mu(e^f) / int conj(|grad f|) e^f dmu, w = e^(f - ref).  The ratio
-    # is -inf where the conjugate is infinite (that row's conj is zeroed)
-    # or the denominator vanishes
+    # (ref, w, total, conj, ratio) per row f of the stack F with gradient
+    # rows G: Ent_mu(e^f) / int conj(|grad f|) e^f dmu, with w = e^(f - ref)
+    # and total = int w dmu.  The ratio is -inf where the conjugate is
+    # infinite (that row's conj is zeroed before the product, where inf * 0
+    # is invalid) or the denominator vanishes, as for a constant f.  Masks
+    # are built only when some row needs them
     conj = cost.conjugate(G)
-    conj[~np.isfinite(conj).all(1)] = 0.0
-    ref, w, _, numer = _entropy_scaled(F, mu)
+    if not np.isfinite(conj).all():
+        conj[~np.isfinite(conj).all(1)] = 0.0
+    ref, w, total, numer = _entropy_scaled(F, mu)
     denom = (conj * w) @ mu
+    if min(denom.tolist()) > 1e-300:
+        return ref, w, total, conj, numer / denom
     ratio = np.divide(numer, denom, out=np.full(len(F), -np.inf), where=denom > 1e-300)
-    return ref, w, conj, ratio
+    return ref, w, total, conj, ratio
 
 
 def _mlsi_value_and_grad(mu, cost, sign, space):
-    # the ratio of _mlsi_ratio for one function, as a Python float: -inf,
-    # with the ascent sent along -f, where the conjugate is infinite or the
-    # denominator vanishes
-    d = space.dist
-
+    # the one-row ratio of _mlsi_ratio as a Python float, and its gradient;
+    # at -inf the ascent is sent along -f
     def vg(f):
-        values = f.tolist()
-        if max(values) == min(values):
-            return -np.inf, f
         g, ys = _gradient_argmax(f if sign > 0 else -f, space)
-        conj = cost.conjugate(g)
-        if not np.isfinite(conj).all():
-            return -np.inf, -f
-        ref, w, total, numer = _entropy_scaled(f[None], mu)
+        ref, w, total, conj, ratio = _mlsi_ratio(f[None], g[None], mu, cost)
+        ratio = float(ratio[0])
+        if ratio == -math.inf:
+            return ratio, -f
         w = w[0]
-        denom = float((conj * w) @ mu)
-        if not denom > 1e-300:
-            return -np.inf, -f
-        ratio = float(numer[0]) / denom
         mw = mu * w
         grad_n = mw * (f - float(ref[0]) - math.log(float(total[0])))
-        grad_d = mu * conj * w
-        active = np.flatnonzero(g > 0)
-        to = ys[active]
-        coef = sign * mw[active] * cost.conjugate_deriv(g[active]) / d[active, to]
-        grad_d[active] += coef
-        np.subtract.at(grad_d, to, coef)
+        grad_d = mu * conj[0] * w
+        _gradient_pullback(grad_d, sign * mw * cost.conjugate_deriv(g), g, ys, space)
         return ratio, grad_n - ratio * grad_d
 
     return vg
-
-
-def _mlsi_rescan(mu, cost, sign, space):
-    # the ratio of vg at every s * unit, s in _AMPLITUDES, from one gradient:
-    # |grad (s u)| = s |grad u|
-    def ratios(unit):
-        g = _gradient_argmax(sign * unit, space)[0]
-        return _mlsi_ratio(_AMPLITUDES[:, None] * unit, _AMPLITUDES[:, None] * g, mu, cost)[3]
-
-    return ratios
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +347,11 @@ def mlsi_verify(mu, C, cost, type, space, restarts=64, seed=0):
 
     Type I uses the gradient of f, type II the gradient of -f.  The
     ratio is not scale invariant, so the best function found is also
-    rescanned at 240 amplitudes from 1e-9 to 1e2 of its unit-range shape.
-    `iterations` and `details.best_restart` are as in poincare_estimate;
-    the rescan is not counted, and keeps the restart of its shape.
+    rescanned at 240 amplitudes from 1e-9 to 1e2 of its unit-range shape,
+    one gradient for all (|grad (s u)| = s |grad u|); the first largest
+    ratio wins if it beats the ascent.  `iterations` and
+    `details.best_restart` are as in poincare_estimate; the rescan is not
+    counted, and keeps the restart of its shape.
     """
     C = as_positive(C, "mlsi constant")
     restarts = as_count(restarts, "restarts")
@@ -387,8 +360,14 @@ def mlsi_verify(mu, C, cost, type, space, restarts=64, seed=0):
     mu = as_measure(mu, space.n)
     sign = 1.0 if type == "I" else -1.0
     ratio, witness, iterations, best_k = _run_restarts(
-        _mlsi_value_and_grad(mu, cost, sign, space), space, restarts, seed,
-        _mlsi_rescan(mu, cost, sign, space))
+        _mlsi_value_and_grad(mu, cost, sign, space), space, restarts, seed)
+    if witness is not None and np.ptp(witness) > 0:
+        unit = (witness - witness.min()) / np.ptp(witness)
+        g = _gradient_argmax(sign * unit, space)[0]
+        ratios = _mlsi_ratio(_AMPLITUDES[:, None] * unit, _AMPLITUDES[:, None] * g, mu, cost)[-1]
+        j = int(np.argmax(ratios))
+        if ratios[j] > ratio:
+            ratio, witness = float(ratios[j]), _AMPLITUDES[j] * unit
     ratio = max(ratio, 0.0)
     won = ratio > 0
     return InequalityReport(
@@ -447,18 +426,20 @@ def hypercontractivity_sweep(mu, C, rho, t, cost, space, n_samples=1000, seed=0)
     """Run hypercontractivity_check over the estimators' test functions
     (Gaussian profiles and indicators of metric balls at several
     amplitudes).  `best_ratio` is the largest norm ratio
-    ||e^{Q_t f}||_q / ||e^f||_rho found, against the constant 1; the
-    verdict tests its log, `details.best_log_ratio`, against 0."""
+    ||e^{Q_t f}||_q / ||e^f||_rho found, against the constant 1, and
+    `details.best_log_ratio` its log; each sample is judged by its
+    check's `holds`, so the sweep is "violated" when the sample of largest
+    ratio fails that check."""
     mu = as_measure(mu, space.n)
 
     def evaluate(rng, k):
         f = _seed_function(rng, space, k)
         check = hypercontractivity_check(mu, C, f, rho, t, space, cost)
         log_ratio = check["log_lhs"] - check["log_rhs"]
-        return log_ratio, math.exp(min(log_ratio, 700.0)), f
+        tested = "certified-no-violation" if check["holds"] else "violated"
+        return log_ratio, tested, math.exp(min(log_ratio, 700.0)), f
 
     return _sweep("hypercontractivity", 1.0, n_samples, seed, evaluate,
                   lambda best_log: {"C": float(C), "cost": cost.label(), "rho": rho,
                                     "t": t, "q": rho + 2.0 * t / C,
-                                    "best_log_ratio": best_log},
-                  threshold=0.0)
+                                    "best_log_ratio": best_log})

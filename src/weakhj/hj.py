@@ -154,7 +154,7 @@ def hj_boundary(f, cost, space):
     mask = g < cost.conjugate_domain_bound()
     excluded = tuple(int(i) for i in np.flatnonzero(~mask))
     d_min = _smallest_distance(space)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         own = 2.0 ** np.floor(np.log2(np.minimum(
             d_min, d_min / (2.0 * cost.conjugate_deriv(g[mask])))))
     t_x = np.full(space.n, own.min(initial=d_min))

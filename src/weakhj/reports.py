@@ -23,13 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cost import quadratic
-from .funcineq import (
-    RATIO_SLACK,
-    hypercontractivity_sweep,
-    mlsi_verify,
-    poincare_estimate,
-    verdict,
-)
+from .funcineq import hypercontractivity_sweep, mlsi_verify, poincare_estimate, verdict
 from .hj import _residual_pass, hj_boundary
 from .space import as_measure, build_example, uniform_measure
 from .transport import check_transport_entropy
@@ -171,7 +165,10 @@ def hypercube_report(n=2, restarts=24, samples=300, seed=0):
     """Measured tight constants on the n-cube against quoted targets.
 
     Records the `constants_report` block and whether the quoted n/4
-    (entropy), n/8 (transport) and n/2 levels are met.  The n/4-vs-n/2
+    (entropy), n/8 (transport) and n/2 levels are met: the entropy ratio
+    judged by `funcineq.verdict` at n/4 and n/2, and the transport level
+    by the verdict of its own sweep at n/8 (`transport_sampled`), which
+    an unconverged solve leaves unmet.  The n/4-vs-n/2
     bookkeeping discrepancy is recorded here, never asserted: measured
     tight entropy ratios on small cubes sit between the n/4 quote and the
     n/2 level (0.82, 1.07 and 1.36 for n = 2, 3, 4).
@@ -179,6 +176,7 @@ def hypercube_report(n=2, restarts=24, samples=300, seed=0):
     space = build_example("hypercube", n)
     report = constants_report(space, restarts=restarts, seed=seed)
     ratio = report["entropy_ratio"]
+    certified = "certified-no-violation"
     te = check_transport_entropy(uniform_measure(space.n), n / 8.0, quadratic(),
                                  space, direction="I", n_samples=samples, seed=seed)
     return {
@@ -188,9 +186,9 @@ def hypercube_report(n=2, restarts=24, samples=300, seed=0):
         "quoted_targets": {"entropy": n / 4.0, "transport": n / 8.0,
                            "fallback_level": n / 2.0},
         "targets_met": {
-            "entropy_quarter": bool(ratio <= n / 4.0 + RATIO_SLACK),
-            "transport_eighth": bool(te.best_ratio <= n / 8.0 + RATIO_SLACK),
-            "half_level": bool(ratio <= n / 2.0 + RATIO_SLACK),
+            "entropy_quarter": verdict(ratio, n / 4.0) == certified,
+            "transport_eighth": te.verdict == certified,
+            "half_level": verdict(ratio, n / 2.0) == certified,
         },
         "transport_sampled": te.to_json_dict(),
         "note": ("the quoted n/4 entropy and n/8 transport targets are "

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .funcineq import _sweep, hypercontractivity_check
+from .funcineq import _sweep, hypercontractivity_check, verdict
 from .space import as_measure, as_positive
 
 MARGINAL_TOL = 1e-10
@@ -566,13 +566,14 @@ def check_transport_entropy(mu, C, cost, space, direction="I", n_samples=1000, s
     tolerance 1e-9 H.  Its value is an upper bound on the cost, so the
     raw ratio value/H can exceed the true one by gap/H; the sweep
     therefore ranks samples by the certified lower bound (value - gap)/H,
-    which never exceeds the true ratio, and settles the verdict on it
-    (`details.certified_ratio`).  `best_ratio` is value/H of the same
-    sample.  `details.solver` counts the solves: `calls`, `unconverged`,
-    `iterations_p50`, `iterations_max` (rounds, one linear transport
-    subproblem each) and `worst_gap`.  A certified ratio above C is a
-    violation whether or not its solve converged; short of one, a sweep
-    with an unconverged solve is "inconclusive".
+    which never exceeds the true ratio (`details.certified_ratio`), and
+    judges each sample by `funcineq.verdict(certified ratio, C)`: a
+    violation whether or not its solve converged, and short of one
+    "inconclusive" when the solve did not converge.  The sweep takes its
+    verdict by `funcineq._sweep`'s rule.  `best_ratio` is value/H of the
+    best sample.  `details.solver` counts the solves: `calls`,
+    `unconverged`, `iterations_p50`, `iterations_max` (rounds, one linear
+    transport subproblem each) and `worst_gap`.
     """
     C = as_positive(C, "transport constant")
     if direction not in ("I", "II"):
@@ -589,7 +590,11 @@ def check_transport_entropy(mu, C, cost, space, direction="I", n_samples=1000, s
         res = weak_transport_cost(*pair, cost, space, gap_tol=1e-9 * ent)
         gap = max(res.gap, 0.0)
         solves.append((res.iterations, res.converged, gap))
-        return (res.value - gap) / ent, res.value / ent, nu
+        certified = (res.value - gap) / ent
+        tested = verdict(certified, C)
+        if not res.converged and tested != "violated":
+            tested = "inconclusive"
+        return certified, tested, res.value / ent, nu
 
     def details(certified):
         iters = [it for it, _, _ in solves]
@@ -603,10 +608,7 @@ def check_transport_entropy(mu, C, cost, space, direction="I", n_samples=1000, s
         return {"cost": cost.label(), "samples": n_samples,
                 "certified_ratio": certified, "solver": solver}
 
-    rep = _sweep("transport-entropy-" + direction, C, n_samples, seed, evaluate, details)
-    if rep.verdict != "violated" and any(not ok for _, ok, _ in solves):
-        rep.verdict = "inconclusive"
-    return rep
+    return _sweep("transport-entropy-" + direction, C, n_samples, seed, evaluate, details)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import pytest
 from weakhj.space import build_example, build_from_graph, uniform_measure
 from weakhj.cost import quadratic, power, quadratic_linear
 from weakhj.calculus import (
+    tilde_gradient,
     weak_infconv,
     weak_infconv_bruteforce,
     time_derivative,
@@ -22,12 +23,15 @@ from weakhj.calculus import (
 )
 from weakhj.hj import hj_residual, hj_boundary, obstruction_search
 from weakhj.funcineq import (
+    entropy_exp,
     poincare_estimate,
     mlsi_verify,
     hypercontractivity_check,
     hypercontractivity_sweep,
+    verdict,
 )
 from weakhj.transport import (
+    relative_entropy,
     weak_transport_cost,
     transport_oracle_small,
     check_transport_entropy,
@@ -239,6 +243,33 @@ def test_chain_norm_growth_legs_catch_small_constants(kind, n, C):
     assert rep["coherent"] is False
 
 
+def test_every_violated_chain_leg_has_a_witness_its_check_rejects():
+    # one judge per leg: the witness of a violated leg fails that leg's own
+    # single check, evaluated afresh
+    sp = build_example("two_point")
+    mu = uniform_measure(2)
+    cost = quadratic()
+    rep = chain_report(sp, C=0.1, samples=20, restarts=2, seed=0)
+    c_m, chain_c = rep["entropy_constant"], rep["chain_constant"]
+    legs = [rep["mlsi"], *rep["transport"].values(), rep["dual"], *rep["hypercontractivity"]]
+    violated = [leg for leg in legs if leg["verdict"] == "violated"]
+    assert len(violated) == len(legs)
+    for leg in violated:
+        w = np.asarray(leg["witness"], dtype=float)
+        kind = leg["inequality"]
+        if kind.startswith("mlsi"):
+            denom = float(mu @ (cost.conjugate(tilde_gradient(w, sp)) * np.exp(w)))
+            assert verdict(entropy_exp(w, mu) / denom, c_m) == "violated"
+        elif kind.startswith("transport-entropy"):
+            ent = relative_entropy(w, mu)
+            pair = (mu, w) if kind.endswith("-I") else (w, mu)
+            res = weak_transport_cost(*pair, cost, sp, gap_tol=1e-9 * ent)
+            assert verdict((res.value - max(res.gap, 0.0)) / ent, c_m) == "violated"
+        else:
+            d = leg["details"]
+            assert not hypercontractivity_check(mu, chain_c, w, d["rho"], d["t"], sp)["holds"]
+
+
 def test_norm_growth_nonnegative_exponents():
     for kind, n in CHAIN_SPACES:
         sp = build_example(kind, n)
@@ -318,6 +349,9 @@ def test_desk_scale_reports_record_quoted_targets():
     # recorded, never asserted: the report carries the verdicts either way
     assert set(rep["targets_met"]) == {"entropy_quarter", "transport_eighth", "half_level"}
     assert all(isinstance(v, bool) for v in rep["targets_met"].values())
+    # the n/8 transport target is judged by its own sweep's verdict
+    assert rep["targets_met"]["transport_eighth"] == (
+        rep["transport_sampled"]["verdict"] == "certified-no-violation")
     assert "n/4-vs-n/2" in rep["note"]
 
     s3 = constants_report(build_example("symmetric_group", 3), restarts=8, seed=0)

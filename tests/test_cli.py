@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +170,21 @@ def test_hj_verify_boundary_of_steep_function(capsys):
                             "--t-grid", "1", "--boundary")
     assert code == 0
     assert doc["result"]["boundary"]["holds"] is True
+
+
+def test_hj_verify_boundary_time_underflow_is_a_value_error(capsys):
+    # |grad f|(0) = 1e62 under power:p=1.2: (alpha*)' overflows to inf at
+    # that gradient, in the segment minimiser and in the boundary time
+    # rule, whose time then underflows to 0.  That is a value error, with
+    # no warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc = invoke_json(capsys, "hj-verify", "--space", "two_point",
+                                "--f", "1e62,0", "--cost", "power:p=1.2",
+                                "--boundary", "--t-grid", "1")
+    assert code == 1
+    assert doc["error"]["type"] == "value"
+    assert "boundary time" in doc["error"]["message"]
 
 
 def test_hj_verify_comma_grid(capsys):

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from weakhj import funcineq, transport
-from weakhj.calculus import lipschitz_seminorm
+from weakhj.calculus import _gradient_argmax, lipschitz_seminorm
 from weakhj.cost import parse_cost_spec, power, quadratic, quadratic_linear
 from weakhj.funcineq import (
     entropy_exp,
@@ -243,6 +243,34 @@ def test_dual_check_takes_the_norm_growth_verdict(C):
     assert du["holds"] != (du["log_lhs"] <= du["log_rhs"] + 1e-10)
 
 
+def test_norm_growth_sweep_takes_its_checks_verdict(monkeypatch):
+    # one judge: a phi whose norm-growth excess lies between 1e-10 and 1e-9
+    # fails hypercontractivity_check and dual_check, and so fails the sweep
+    # that samples only it
+    sp = MetricSpace(3.0 * build_example("path", 5).dist)
+    mu = uniform_measure(5)
+    shape = np.array([1.0, 0.5, 0.0, -0.5, -1.0])
+    C, target = 3.0, 5e-10
+
+    def excess(phi):
+        hc = hypercontractivity_check(mu, C, phi, 0.0, 1.0, sp)
+        return hc["log_lhs"] - hc["log_rhs"]
+
+    lo, hi = 0.0, 1.0
+    assert excess(hi * shape) > target
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if excess(mid * shape) > target else (mid, hi)
+    banded = hi * shape
+    assert 1e-10 < excess(banded) < 1e-9
+    assert not dual_check(mu, C, banded, quadratic(), sp)["holds"]
+    monkeypatch.setattr(funcineq, "_seed_function", lambda rng, space, k: banded.copy())
+    rep = hypercontractivity_sweep(mu, C, 0.0, 1.0, quadratic(), sp, n_samples=5)
+    assert rep.verdict == "violated"
+    assert np.array_equal(rep.witness, banded)
+    assert rep.details["best_log_ratio"] == excess(banded)
+
+
 def test_hypercontractivity_hypercube_sweep():
     sp = build_example("hypercube", n=2)
     mu = uniform_measure(4)
@@ -338,23 +366,26 @@ def _null_point_measure(n):
 @pytest.mark.parametrize("cost", [quadratic(), power(3.0), quadratic_linear(0.25, 2.0)],
                          ids=lambda c: c.label())
 def test_stacked_rescan_matches_per_function_ratios(cost):
-    # the rescan reads one gradient of the unit shape; each of its 240
-    # ratios must be the value-and-gradient ratio at that amplitude, with
-    # the same finiteness: -inf where the denominator vanishes (a null
-    # point) and, for qlin, where the conjugate is infinite (slope past 1)
+    # the rescan reads one gradient of the unit shape and scales it; each of
+    # the 240 ratios of that stack must be the one-row ratio of the
+    # value-and-gradient at that amplitude, with the same finiteness: -inf
+    # where the denominator vanishes (a null point) and, for qlin, where the
+    # conjugate is infinite (slope past 1)
     rng = np.random.default_rng(4)
+    amplitudes = funcineq._AMPLITUDES[:, None]
     past_slope_bound = 0
     for sp in example_spaces():
         for mu in (uniform_measure(sp.n), _null_point_measure(sp.n)):
             for sign in (1.0, -1.0):
                 vg = funcineq._mlsi_value_and_grad(mu, cost, sign, sp)
-                rescan = funcineq._mlsi_rescan(mu, cost, sign, sp)
                 for k in range(3):
                     f = funcineq._seed_function(rng, sp, k)
                     if np.ptp(f) == 0:
                         continue
                     unit = (f - f.min()) / np.ptp(f)
-                    stacked = rescan(unit)
+                    g = _gradient_argmax(sign * unit, sp)[0]
+                    stacked = funcineq._mlsi_ratio(amplitudes * unit, amplitudes * g,
+                                                   mu, cost)[-1]
                     single = np.array([vg(s * unit)[0] for s in funcineq._AMPLITUDES])
                     finite = np.isfinite(single)
                     steep = funcineq._AMPLITUDES * lipschitz_seminorm(unit, sp) > 1.0
@@ -743,15 +774,35 @@ def test_estimators_report_steps_taken_and_winning_restart(monkeypatch):
     assert early > 0
 
 
-def test_rescan_takes_first_maximum_only_above_the_ascent():
+def test_rescan_takes_first_maximum_only_above_the_ascent(monkeypatch):
+    # mlsi_verify rescans the ascents' best shape at the 240 amplitudes: the
+    # first of the largest rescan ratios replaces the ascent's only when it
+    # is larger, keeps the winning restart and adds no iterations
     sp = build_example("cycle", 6)
-    vg = funcineq._poincare_value_and_grad(uniform_measure(6), sp)
-    ascent, shape, _, _ = funcineq._run_restarts(vg, sp, 2, 0)
+    mu = uniform_measure(6)
+    ratio_of = funcineq._mlsi_ratio
+    rescan = np.full(240, -np.inf)
+
+    def stub(F, G, mu, cost):
+        out = ratio_of(F, G, mu, cost)
+        return out if len(F) == 1 else (*out[:-1], rescan.copy())
+
+    monkeypatch.setattr(funcineq, "_mlsi_ratio", stub)
+
+    def run():
+        return mlsi_verify(mu, 1.0, quadratic(), "I", sp, restarts=2, seed=0)
+
+    ascent = run()
+    shape = ascent.witness
+    assert ascent.best_ratio > 0
     unit = (shape - shape.min()) / np.ptp(shape)
-    tied = np.full(240, -np.inf)
-    tied[[7, 30, 200]] = ascent + 1.0
-    ratio, witness, _, _ = funcineq._run_restarts(vg, sp, 2, 0, lambda u: tied)
-    assert ratio == ascent + 1.0
-    assert np.array_equal(witness, funcineq._AMPLITUDES[7] * unit)
-    tied[[7, 30, 200]] = ascent
-    assert np.array_equal(funcineq._run_restarts(vg, sp, 2, 0, lambda u: tied)[1], shape)
+    rescan[[7, 30, 200]] = ascent.best_ratio + 1.0
+    rep = run()
+    assert rep.best_ratio == ascent.best_ratio + 1.0
+    assert np.array_equal(rep.witness, funcineq._AMPLITUDES[7] * unit)
+    assert rep.iterations == ascent.iterations
+    assert rep.details["best_restart"] == ascent.details["best_restart"]
+    rescan[[7, 30, 200]] = ascent.best_ratio
+    rep = run()
+    assert rep.best_ratio == ascent.best_ratio
+    assert np.array_equal(rep.witness, shape)
