@@ -34,14 +34,15 @@ def _gradient_argmax(F, space):
     """(|grad f|, ys) for every row f of the (..., n) float array F: the
     nonlinear gradient and, per point x, the competitor y maximizing
     (f(x) - f(y)) / d(x, y); the first index wins ties.  Slopes are divided
-    only off the diagonal (`space.off_diagonal`), so the diagonal keeps
-    f(x) - f(x) = 0 and no 0/0 arises, and the gradient is read at the
-    argmax through the flat slopes rather than by a second reduction.  ys
-    is meaningful only where the gradient is positive: elsewhere the zero
-    diagonal slope may win.  The slopes take n times the entries of F, so
-    a caller with many rows passes them in blocks."""
+    by `space.slope_divisor`, `dist` with 1.0 on the diagonal, so the
+    diagonal keeps f(x) - f(x) = 0 (NaN on a non-finite row) and no 0/0
+    arises, and the gradient is read at the argmax through the flat slopes
+    rather than by a second reduction.  ys is meaningful only where the
+    gradient is positive: elsewhere the zero diagonal slope may win.  The
+    slopes take n times the entries of F, so a caller with many rows
+    passes them in blocks."""
     slopes = F[..., None] - F[..., None, :]
-    np.divide(slopes, space.dist, out=slopes, where=space.off_diagonal)
+    slopes /= space.slope_divisor
     ys = slopes.argmax(-1)
     # flat index of row r's argmax: r n + ys[r]
     at = np.arange(0, slopes.size, F.shape[-1]).reshape(ys.shape) + ys
@@ -53,11 +54,13 @@ def _gradient_pullback(out, c, g, ys, space):
     `_gradient_argmax(f, space)` of one function f: at a point x of
     positive gradient, |grad f|(x) = (f(x) - f(y)) / d(x, y) with y =
     ys[x], so c(x) / d(x, y) is added at x and subtracted at y; a point of
-    zero gradient adds nothing."""
-    active = np.flatnonzero(g > 0)
+    zero gradient adds nothing.  `active` holds each point once, so a
+    plain index-add is exact there; ys[active] can repeat a point, so the
+    subtraction accumulates with `np.subtract.at`."""
+    active = (g > 0).nonzero()[0]
     to = ys[active]
     coef = c[active] / space.dist[active, to]
-    np.add.at(out, active, coef)
+    out[active] += coef
     np.subtract.at(out, to, coef)
 
 
@@ -337,7 +340,9 @@ def weak_infconv_bruteforce(f, t, cost, space):
         i, j = np.nonzero(d[:, None] < d[None, :])
         u0, v0, u1 = d[i], f[i], d[j]
         s = (f[j] - v0) / (u1 - u0)
-        u = np.clip(t * cost.conjugate_deriv(np.maximum(-s, 0.0)), u0, u1)
+        # a stationary point past the largest float clips to u1
+        with np.errstate(over="ignore"):
+            u = np.clip(t * cost.conjugate_deriv(np.maximum(-s, 0.0)), u0, u1)
         out[x] = np.min(v0 + s * (u - u0) + t * cost.eval(u / t), initial=out[x])
     return out
 

@@ -24,10 +24,10 @@ from dataclasses import dataclass, fields, is_dataclass
 import numpy as np
 
 # n points need 16 n^2 bytes: the float distance matrix plus the int64 row
-# sort order `MetricSpace.distance_groups` caches (n^2 more for the boolean
-# `off_diagonal` mask once a gradient is taken).  Every example space and
-# graph is capped at the 2^12 = 4 096 points of hypercube:12, which take
-# 268 MB; hypercube:13 would take 1.07 GB.
+# sort order `MetricSpace.distance_groups` caches (8 n^2 more for the float
+# `slope_divisor` once a gradient is taken, 134 MB at 4 096 points).  Every
+# example space and graph is capped at the 2^12 = 4 096 points of
+# hypercube:12, which take 268 MB; hypercube:13 would take 1.07 GB.
 HYPERCUBE_MAX_N = 12
 _MAX_POINTS = 2 ** HYPERCUBE_MAX_N
 SYMMETRIC_GROUP_MAX_N = 5
@@ -167,12 +167,14 @@ class MetricSpace:
         return order, np.flatnonzero(new)
 
     @functools.cached_property
-    def off_diagonal(self):
-        """The n x n boolean mask of the pairs x != y (n^2 bytes), where the
-        nonlinear gradient divides by d(x, y).  Read-only, like `dist`."""
-        mask = ~np.eye(self.n, dtype=bool)
-        mask.flags.writeable = False
-        return mask
+    def slope_divisor(self):
+        """`dist` with 1.0 on the diagonal (8 n^2 bytes), the divisor of the
+        nonlinear gradient's slopes: the diagonal slope f(x) - f(x) keeps
+        its bits over 1.0, so no 0/0 arises.  Read-only, like `dist`."""
+        div = self.dist.copy()
+        np.fill_diagonal(div, 1.0)
+        div.flags.writeable = False
+        return div
 
     @property
     def diameter(self):

@@ -13,6 +13,7 @@ from randspaces import example_spaces, random_connected_space
 from weakhj.calculus import (
     ARGMIN_TOL,
     _gradient_argmax,
+    _gradient_pullback,
     _segment_argmin,
     classical_infconv,
     envelope,
@@ -128,6 +129,71 @@ def test_stacked_gradient_equals_one_dimensional_calls():
             assert g.tobytes() == want_g.tobytes()
             assert ys.tolist() == want_ys.tolist()
             assert not np.signbit(g).any()
+
+
+def _masked_gradient_argmax(F, space):
+    # the gradient as it was computed before the unit-diagonal divisor:
+    # slopes divided only where x != y, under a boolean mask
+    n = F.shape[-1]
+    slopes = F[..., None] - F[..., None, :]
+    np.divide(slopes, space.dist, out=slopes, where=~np.eye(n, dtype=bool))
+    ys = slopes.argmax(-1)
+    at = np.arange(0, slopes.size, n).reshape(ys.shape) + ys
+    return slopes.ravel()[at], ys
+
+
+def test_gradient_argmax_keeps_the_masked_divide_bits():
+    # dividing the diagonal slope f(x) - f(x) by 1.0 leaves it as it is,
+    # +0.0 or NaN, so g and ys are those of the masked divide, on 1-D
+    # calls and (K, n) stacks with signed zeros, ties and a NaN row
+    rng = np.random.default_rng(17)
+    spaces = example_spaces() + [random_connected_space(rng) for _ in range(20)]
+    spaces += [MetricSpace(np.zeros((1, 1))), build_example("path", 32)]
+    for sp in spaces:
+        n = sp.n
+        F = np.vstack([rng.normal(size=(4, n)),
+                       rng.choice([0.0, -0.0], (2, n)),                # signed zeros
+                       rng.integers(0, 3, (3, n)).astype(float),       # tied slopes
+                       np.where(rng.random((1, n)) < 0.5, np.nan, 1.0),
+                       np.full((1, n), np.nan)])
+        for stack in (F, F[None], F[:1]):
+            g, ys = _gradient_argmax(stack, sp)
+            want_g, want_ys = _masked_gradient_argmax(stack, sp)
+            assert g.tobytes() == want_g.tobytes()
+            assert ys.tolist() == want_ys.tolist()
+        for f in F:
+            g, ys = _gradient_argmax(f, sp)
+            want_g, want_ys = _masked_gradient_argmax(f, sp)
+            assert g.tobytes() == want_g.tobytes()
+            assert ys.tolist() == want_ys.tolist()
+
+
+def test_gradient_pullback_equals_a_sequential_loop():
+    # c(x)/d(x, ys[x]) added at every active x, then subtracted at ys[x],
+    # one point at a time in index order (the order of np.add.at and
+    # np.subtract.at), bit for bit, also where ys[active] repeats
+    rng = np.random.default_rng(19)
+    spaces = example_spaces() + [random_connected_space(rng) for _ in range(20)]
+    spaces.append(build_example("path", 32))
+    repeated = 0
+    for sp in spaces:
+        for f in (rng.normal(size=sp.n), sp.dist[0].copy(),
+                  rng.integers(0, 3, sp.n).astype(float)):
+            g, ys = _gradient_argmax(f, sp)
+            c = rng.normal(size=sp.n)
+            out = rng.normal(size=sp.n)
+            want = out.copy()
+            active = [x for x in range(sp.n) if g[x] > 0]
+            coef = {x: c[x] / sp.dist[x, ys[x]] for x in active}
+            for x in active:
+                want[x] += coef[x]
+            for x in active:
+                want[ys[x]] -= coef[x]
+            _gradient_pullback(out, c, g, ys, sp)
+            assert out.tobytes() == want.tobytes()
+            to = ys[g > 0]
+            repeated += len(to) > len(set(to.tolist()))
+    assert repeated > 10
 
 
 def test_lipschitz_seminorm():

@@ -187,6 +187,18 @@ def test_hj_verify_boundary_time_underflow_is_a_value_error(capsys):
     assert "boundary time" in doc["error"]["message"]
 
 
+def test_qtilde_oracle_of_steep_function_warns_nothing(capsys):
+    # (alpha*)' overflows to inf at slope 1e62 under power:p=1.2; the
+    # oracle's stationary point clips to the chord's far end, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc = invoke_json(capsys, "qtilde", "--space", "two_point",
+                                "--f", "1e62,0", "--t", "1", "--cost", "power:p=1.2",
+                                "--oracle")
+    assert code == 0
+    assert doc["result"]["oracle_max_error"] == 0.0
+
+
 def test_hj_verify_comma_grid(capsys):
     code, doc = invoke_json(capsys, "hj-verify", "--space", "two_point",
                             "--f", "1,0", "--t-grid", "0.5,1.0")

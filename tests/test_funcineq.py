@@ -161,6 +161,28 @@ def test_mlsi_type_two_blows_up():
     assert rep.details["cost"] == quadratic().label()
 
 
+@pytest.mark.parametrize("type_", ["I", "II"])
+def test_mlsi_power_cost_near_one_does_not_overflow(type_):
+    # under power(1.002) the conjugate y^q / q (q = 501) passes the largest
+    # float; that row is +inf, scored -inf, with no overflow warning
+    sp = build_example("path", 5)
+    rep = mlsi_verify(uniform_measure(5), 1.0, power(1.002), type_, sp, restarts=2)
+    assert math.isfinite(rep.best_ratio)
+
+
+def test_phi2_series_keeps_the_power_form_bits():
+    # x2 * x and x2 * x2 in place of x ** 3 and x ** 4: the same sum, bit
+    # for bit, on 10^6 draws of |x| < 1e-3 at scales down to 1e-15, and on
+    # 10^5 draws whose square is subnormal
+    rng = np.random.default_rng(23)
+    x = np.concatenate([
+        rng.uniform(-1e-3, 1e-3, 10 ** 6) * 10.0 ** -rng.integers(0, 13, 10 ** 6),
+        rng.uniform(-1.0, 1.0, 10 ** 5) * 10.0 ** -rng.uniform(154, 162, 10 ** 5)])
+    want = 0.5 * x * x * (1.0 + x / 3.0 + x * x / 12.0 + x ** 3 / 60.0 + x ** 4 / 360.0)
+    assert np.abs(x[:10 ** 6]).min() < 1e-14
+    assert funcineq._phi2_series(x).tobytes() == want.tobytes()
+
+
 def test_mlsi_validation():
     sp = build_example("two_point")
     mu = uniform_measure(2)

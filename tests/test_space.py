@@ -17,6 +17,7 @@ from weakhj.hj import ResidualReport, hj_boundary, obstruction_search
 from weakhj.space import (
     EXAMPLES,
     CapacityError,
+    MetricSpace,
     MetricViolation,
     as_count,
     as_function,
@@ -364,6 +365,22 @@ def test_distance_groups_match_profiles():
             firsts = starts[(starts >= x * sp.n) & (starts < (x + 1) * sp.n)]
             us, _, _ = distance_profile(np.zeros(sp.n), x, sp)
             np.testing.assert_array_equal(ds[firsts], us)
+
+
+def test_slope_divisor_is_dist_with_a_unit_diagonal():
+    # read-only, cached, 1.0 on the diagonal and dist's bits elsewhere
+    rng = np.random.default_rng(73)
+    spaces = example_spaces() + [random_connected_space(rng) for _ in range(10)]
+    spaces.append(MetricSpace(np.zeros((1, 1))))
+    for sp in spaces:
+        div = sp.slope_divisor
+        assert div is sp.slope_divisor
+        assert not div.flags.writeable
+        assert div.dtype == sp.dist.dtype and div.shape == sp.dist.shape
+        assert np.diagonal(div).tolist() == [1.0] * sp.n
+        off = ~np.eye(sp.n, dtype=bool)
+        assert div[off].tobytes() == sp.dist[off].tobytes()
+    assert not hasattr(sp, "off_diagonal")
 
 
 def test_validate_metric_accepts_and_reports():
