@@ -260,7 +260,7 @@ def _cmd_obstruction(args, inputs):
     grid = _parse_grid(args.t_grid) if args.t_grid else None
     res = obstruction_search(args.space, t_grid=grid, trials=args.trials,
                              seed=args.seed)
-    # the default family recovers f, so the status is witness or exhausted
+    # the status is witness or exhausted
     return res, 2 if res.status == "witness" else 0
 
 

@@ -10,10 +10,9 @@ small-time limit of (Q~_t f - f)/t at each point's own time, small
 enough for the ratio to equal it, all from one stacked evaluation, and
 matches it against -alpha*(|grad f|) (a `BoundaryReport`).
 `obstruction_search` looks for a quadruple (f, x, s, t) breaking the
-semigroup law of the classical point-mass evolution
-Q_t f(x) = min_y f(y) + D_t(x, y), starting from the adversarial
-functions that certify no such family of mappings D_t can be a semigroup
-on a connected space.
+semigroup law of the classical point-mass evolution `classical_infconv`,
+starting from the adversarial functions behind its failure on connected
+spaces.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import _HULL_BLOCK, _gradient_argmax, _infconv_times, tilde_gradient
+from .calculus import (_HULL_BLOCK, _gradient_argmax, _infconv_times, classical_infconv,
+                       tilde_gradient)
 from .cost import quadratic
 from .space import as_count, as_function, as_positive, jsonable
 
@@ -37,7 +37,7 @@ _DEFAULT_OBSTRUCTION_TS = (0.25, 0.5, 1.0)
 @dataclass
 class ResidualReport:
     """Subsolution residuals of one time slice; +inf where the conjugate
-    blows up, at the premise violations listed in `conjugate_infinite`."""
+    blows up, at the points listed in `conjugate_infinite`."""
 
     kind: str = field(default="residual", init=False)
     cost: str
@@ -80,7 +80,7 @@ def hj_residuals(f, ts, cost, space):
     interval, never from finite differences.  `holds` requires r <= 1e-9
     at every point.  A +inf conjugate value (quadratic-linear cost with
     too steep a smoothed gradient) is a hard violation of the
-    finite-domain premise: the point is listed in `conjugate_infinite`
+    finite-domain assumption: the point is listed in `conjugate_infinite`
     and the verdict is False.  ValueError unless ts is non-empty with
     every time finite and > 0.
     """
@@ -203,10 +203,8 @@ class ObstructionWitness:
 
 @dataclass
 class ObstructionResult:
-    """Search outcome: status is "witness", "exhausted" (a valid outcome,
-    with statistics), or "premise-failure" when the family does not
-    recover f as t -> 0 and is therefore out of scope.
-    """
+    """Search outcome: status is "witness" or "exhausted" (a valid
+    outcome, with statistics)."""
 
     status: str
     witness: ObstructionWitness | None
@@ -219,86 +217,48 @@ class ObstructionResult:
         return jsonable(self)
 
 
-def _family_matrix(d_family, t, space):
-    mat = np.asarray(d_family(t), dtype=float)
-    if mat.shape != (space.n, space.n):
-        raise ValueError(f"D_t must be {space.n} x {space.n}; got shape {mat.shape} at t={t}")
-    bad = np.flatnonzero(np.abs(np.diag(mat)) > 1e-12)
-    if bad.size:
-        x = int(bad[0])
-        raise ValueError(f"D_t(x, x) must vanish; got {mat[x, x]!r} at x={x}, t={t}")
-    return mat
+def obstruction_search(space, t_grid=None, trials=50, seed=0):
+    """Search for a violation of Q_{s+t} f = Q_t(Q_s f), both sides from
+    `classical_infconv` with the quadratic cost.
 
-
-def _classical_step(f, mat):
-    # Q_t f(x) = min_y f(y) + D_t(x, y)
-    return np.min(f[None, :] + mat, axis=1)
-
-
-def obstruction_search(space, d_family=None, t_grid=None, trials=50, seed=0):
-    """Search for a semigroup violation of Q_t f(x) = min_y f(y) + D_t(x, y).
-
-    Tries the adversarial functions f = 0 at one vertex and M elsewhere
-    (the construction behind the impossibility of such semigroups on
-    connected spaces) over all (s, t) in the grid square, by default
-    (0.25, 0.5, 1) d_min^2 with d_min as below, then `trials`
-    random functions, each drawn only when the search reaches it.  Every
-    candidate is screened at tolerance 1e-6.  `trials` must be an integer
-    >= 0 (ValueError otherwise).
-
-    `d_family(t)` returns the n x n matrix D_t, one call per time; the
-    default is t * alpha(d / t) for the quadratic alpha.  The family must
-    be of that shape with D_t(x, x) = 0 (ValueError otherwise) and
-    recover f as t -> 0: a 1-Lipschitz probe must come back within
-    1e-6 d_min at t = d_min 2^-14, with d_min the smallest positive
-    distance (1 on one point).  Families failing this are reported with
-    status "premise-failure" instead of being searched; the default
-    family always passes.  An "exhausted" search records the largest
-    gap it saw as `detail["max_gap_seen"]`.
+    Tries the adversarial functions f = 0 at one vertex and M elsewhere,
+    M = 1 + 2 max_t t alpha(diameter / t) over the grid times and their
+    sums (the construction behind the failure on connected spaces), then
+    `trials` random functions, each drawn only when reached, on every
+    (s, t) of the grid square: by default (0.25, 0.5, 1) d_min^2, d_min
+    the smallest positive distance (1 on one point).  A gap above 1e-6
+    is a witness; an "exhausted" search records its largest gap as
+    `detail["max_gap_seen"]`.  ValueError unless `trials` is an integer
+    >= 0 and the grid non-empty and positive, with every s + t and M plus
+    the max above finite.
     """
-    if d_family is None:
-        def d_family(t):
-            return t * quadratic().eval(space.dist / t)
-
     trials = as_count(trials, "trials", least=0)
-    unit = _smallest_distance(space)
     if t_grid is None:
         # D_t = d^2/2t is unchanged under (d, t) -> (l d, l^2 t)
+        unit = _smallest_distance(space)
         t_grid = [t * unit ** 2 for t in _DEFAULT_OBSTRUCTION_TS]
     ts = [as_positive(t, "t_grid entry") for t in t_grid]
     if not ts:
         raise ValueError("t_grid must contain positive times")
 
+    cost = quadratic()
+    pairs = [(s, t) for s in ts for t in ts]
+    times = np.array(sorted(set(ts) | {s + t for s, t in pairs}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the largest D_t entry (nan when some s + t overflows), the value
+        # M of the adversarial functions, and the largest f + D_t they sum
+        peak = float(np.max(times * cost.eval(space.diameter / times)))
+        big = 1.0 + 2.0 * peak
+    if not math.isfinite(big + peak):
+        raise ValueError(f"t_grid {ts} overflows: some s + t, D_t entry or "
+                         "adversarial value is not finite")
+
     n = space.n
     rng = np.random.default_rng(seed)
 
-    # small-time premise: Q_t f -> f for a 1-Lipschitz probe, with times
-    # and threshold in units of the smallest positive distance
-    probe = space.dist[0].copy()
-    probe_ts = [unit * 2.0 ** -k for k in (6, 10, 14)]
-    gaps = []
-    for t in probe_ts:
-        qt = _classical_step(probe, _family_matrix(d_family, t, space))
-        gaps.append(float(np.max(np.abs(qt - probe))))
-    if gaps[-1] > 1e-6 * unit:
-        return ObstructionResult(
-            status="premise-failure",
-            witness=None,
-            functions_tried=0,
-            evaluations=0,
-            seed=seed,
-            detail={"probe_ts": probe_ts, "probe_gaps": gaps,
-                    "message": "Q_t f does not recover f as t -> 0"},
-        )
-
-    pairs = [(s, t) for s in ts for t in ts]
-    mats = {t: _family_matrix(d_family, t, space)
-            for t in set(ts) | {s + t for s, t in pairs}}
-    scale = max(float(np.max(m)) for m in mats.values()) if n > 1 else 1.0
-
     def functions():
         for z in range(n):
-            yield np.where(np.arange(n) == z, 0.0, 1.0 + 2.0 * scale)
+            yield np.where(np.arange(n) == z, 0.0, big)
         for _ in range(trials):
             yield rng.normal(0.0, 1.0, n) * max(space.diameter, 1.0)
 
@@ -306,8 +266,8 @@ def obstruction_search(space, d_family=None, t_grid=None, trials=50, seed=0):
     max_gap = 0.0
     for tried, f in enumerate(functions(), start=1):
         for s, t in pairs:
-            lhs = _classical_step(f, mats[s + t])
-            rhs = _classical_step(_classical_step(f, mats[s]), mats[t])
+            lhs = classical_infconv(f, s + t, cost, space)
+            rhs = classical_infconv(classical_infconv(f, s, cost, space), t, cost, space)
             evaluations += 1
             gap = np.abs(lhs - rhs)
             x = int(np.argmax(gap))

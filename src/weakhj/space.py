@@ -3,7 +3,7 @@
 A space is a finite point set together with a validated distance matrix.
 Canonical families (two-point, path, cycle, complete, hypercube, symmetric
 group under transpositions) are built exactly, and `EXAMPLES` states each
-one's least size, point count and cap; arbitrary spaces come from weighted
+one's least size and point count; arbitrary spaces come from weighted
 graphs via all-pairs shortest paths or from an explicit matrix.  A graph
 is validated edge by edge, its closure being a metric by construction; an
 explicit matrix goes through `check_metric`.  Every example and graph is
@@ -30,7 +30,9 @@ import numpy as np
 # hypercube:12, which take 268 MB; hypercube:13 would take 1.07 GB.
 HYPERCUBE_MAX_N = 12
 _MAX_POINTS = 2 ** HYPERCUBE_MAX_N
-SYMMETRIC_GROUP_MAX_N = 5
+# the largest point count a refusal states exactly, hypercube:4096's; a
+# longer count, such as symmetric_group:2000's, would not print
+_COUNT_LIMIT = 2 ** _MAX_POINTS
 METRIC_TOL = 1e-9
 _LEAVES = (str, int, float, bool, type(None))
 
@@ -304,16 +306,16 @@ def _symmetric_group(n):
     return MetricSpace((n - cycles).astype(float), labels)
 
 
-# The example families, kind -> (least size, largest size or None, point
-# count at size n, builder).  two_point takes no size.  Every count is at
-# least n, so a size above the point cap is refused without counting.
+# The example families, kind -> (least size, point count at size n,
+# builder).  two_point takes no size.  Every count is at least n, so a
+# size above the point cap is refused without counting.
 EXAMPLES = {
-    "two_point": (None, None, None, lambda: MetricSpace(1.0 - np.eye(2))),
-    "path": (2, None, lambda n: n, lambda n: MetricSpace(_line(n))),
-    "cycle": (3, None, lambda n: n, lambda n: MetricSpace(_cycle(n))),
-    "complete": (2, None, lambda n: n, lambda n: MetricSpace(1.0 - np.eye(n))),
-    "hypercube": (1, None, lambda n: 2 ** n, lambda n: MetricSpace(_hypercube(n))),
-    "symmetric_group": (2, SYMMETRIC_GROUP_MAX_N, math.factorial, _symmetric_group),
+    "two_point": (None, None, lambda: MetricSpace(1.0 - np.eye(2))),
+    "path": (2, lambda n: n, lambda n: MetricSpace(_line(n))),
+    "cycle": (3, lambda n: n, lambda n: MetricSpace(_cycle(n))),
+    "complete": (2, lambda n: n, lambda n: MetricSpace(1.0 - np.eye(n))),
+    "hypercube": (1, lambda n: 2 ** n, lambda n: MetricSpace(_hypercube(n))),
+    "symmetric_group": (2, math.factorial, _symmetric_group),
 }
 
 
@@ -323,19 +325,21 @@ def build_example(kind, n=None):
 
     Raises ValueError on an unknown kind or a size that is not an integer
     of at least the kind's least size, and CapacityError, before anything
-    is allocated, above the kind's largest size or the point cap."""
+    is allocated, above the point cap."""
     if kind not in EXAMPLES:
         raise ValueError(f"unknown example kind {kind!r}")
-    least, most, points, build = EXAMPLES[kind]
+    least, points, build = EXAMPLES[kind]
     if least is None:
         if n is not None:
             raise ValueError(f"{kind} takes no size, got {n!r}")
         return build()
     n = as_count(n, f"{kind} size", least)
-    if most is not None and n > most:
-        raise CapacityError(f"{kind} capped at n={most}, got {n}")
-    counted = n <= _MAX_POINTS
-    _check_points(f"{kind}:{n}", points(n) if counted else n, exact=counted)
+    # counted up to the size cap; past it, or past _COUNT_LIMIT, n or
+    # _COUNT_LIMIT bounds the count
+    count = points(n) if n <= _MAX_POINTS else n
+    bound = max(n, _COUNT_LIMIT)
+    _check_points(f"{kind}:{n}", min(count, bound),
+                  exact=n <= _MAX_POINTS and count <= bound)
     return build(n)
 
 

@@ -745,6 +745,8 @@ def test_parser_reuse_keeps_no_state(capsys):
     ("hj-verify --space two_point --f 1,0 --t-grid 0.1:inf:0.1", "input"),
     ("hj-verify --space two_point --f 1,0 --t-grid 0.1,nan", "value"),
     ("obstruction --space two_point --t-grid nan,0.5", "value"),
+    ("obstruction --space path:3 --t-grid 1e-300", "value"),
+    ("obstruction --space path:3 --t-grid 1e308,1e308", "value"),
     ("te-verify --space two_point --C nan --samples 10", "value"),
     ("chain-verify --space two_point --C inf --samples 5 --restarts 1", "value"),
     ("ttilde --space two_point --nu nan,1 --mu 0.5,0.5", "value"),

@@ -11,6 +11,7 @@ from randspaces import example_spaces, random_connected_space
 from weakhj.calculus import (
     _HULL_BLOCK,
     _infconv_times,
+    classical_infconv,
     tilde_gradient,
     time_derivative,
     weak_infconv,
@@ -485,41 +486,46 @@ def test_obstruction_adversarial_only_still_finds():
     assert res.status == "witness" and res.functions_tried == 1
 
 
-def test_obstruction_zero_family_premise_failure():
-    res = obstruction_search(TWO_POINT, d_family=lambda t: np.zeros((2, 2)))
-    assert res.status == "premise-failure"
-    assert res.witness is None
-    assert res.functions_tried == 0
-    # the probe never gets recovered: gap stays at the diameter
-    np.testing.assert_allclose(res.detail["probe_gaps"], [1.0, 1.0, 1.0])
-
-
 @pytest.mark.parametrize("scale", [1e-4, 1e-8])
 def test_obstruction_premise_probe_scales_with_distances(scale):
-    # d^2/2t recovers a 1-Lipschitz probe once t <= d_min/2, so the probe
-    # times and threshold run in units of d_min: a small path passes; D_t
-    # is unchanged under (d, t) -> (l d, l^2 t), so the default t-grid in
-    # units of d_min^2 finds the unit path's witness
+    # D_t = d^2/2t is unchanged under (d, t) -> (l d, l^2 t), so the
+    # default t-grid in units of d_min^2 finds the unit path's witness
     path = build_example("path", 3)
     res = obstruction_search(MetricSpace(scale * path.dist), seed=0)
     assert res.status == "witness" and res.functions_tried == 1
     np.testing.assert_allclose(res.witness.gap, 1.0, rtol=0, atol=1e-12)
 
 
-def test_obstruction_rejects_nonzero_diagonal():
-    with pytest.raises(ValueError, match="vanish"):
-        obstruction_search(TWO_POINT, d_family=lambda t: np.ones((2, 2)))
+def test_obstruction_rejects_bad_t_grid():
     with pytest.raises(ValueError, match="positive"):
         obstruction_search(TWO_POINT, t_grid=(0.5, -1.0))
     with pytest.raises(ValueError, match="positive"):
         obstruction_search(TWO_POINT, t_grid=())
+    # D_t overflows at t = 1e-300 and s + t at 1e308 + 1e308; searched,
+    # every gap would be nan and the verdict a false "exhausted"
+    for grid in ((1e-300,), (1e308, 1e308)):
+        with pytest.raises(ValueError, match="overflows"):
+            obstruction_search(build_example("path", 3), t_grid=grid)
 
 
-def test_obstruction_rejects_family_of_wrong_shape():
-    with pytest.raises(ValueError, match="shape"):
-        obstruction_search(TWO_POINT, d_family=lambda t: np.zeros((3, 3)))
-    with pytest.raises(ValueError, match="shape"):
-        obstruction_search(TWO_POINT, d_family=lambda t: 0.0)
+def test_obstruction_witness_is_classical_infconv():
+    rng = np.random.default_rng(11)
+    path = build_example("path", 3)
+    spaces = (example_spaces() + [MetricSpace(c * path.dist) for c in (1e-8, 1e8)]
+              + [random_connected_space(rng) for _ in range(6)])
+    cost = quadratic()
+    witnesses = 0
+    for space in spaces:
+        for grid in (None, (0.1, 0.3), (1e6, 2e6)):
+            res = obstruction_search(space, t_grid=grid, trials=5, seed=1)
+            if res.status != "witness":
+                continue
+            witnesses += 1
+            w = res.witness
+            inner = classical_infconv(w.f, w.s, cost, space)
+            assert w.lhs == classical_infconv(w.f, w.s + w.t, cost, space)[w.x]
+            assert w.rhs == classical_infconv(inner, w.t, cost, space)[w.x]
+    assert witnesses >= 2 * len(spaces), witnesses
 
 
 def test_obstruction_single_point_exhausted():

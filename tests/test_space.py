@@ -203,7 +203,7 @@ def test_symmetric_group_is_n_minus_cycles(n):
             assert sp.dist[a, b] == n - cycles
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_symmetric_group_matches_its_cayley_graph(n):
     # the closed form is the shortest-path metric of the graph whose edges
     # swap two entries of a permutation, bit for bit
@@ -309,11 +309,11 @@ def test_capacity_limits():
     with pytest.raises(CapacityError):
         build_example("hypercube", 15)
     with pytest.raises(CapacityError):
-        build_example("symmetric_group", 6)
+        build_example("symmetric_group", 7)
 
 
 def test_every_example_kind_builds_its_least_size():
-    for kind, (least, _, points, _) in EXAMPLES.items():
+    for kind, (least, points, _) in EXAMPLES.items():
         if least is None:
             assert build_example(kind).n == 2
             continue
@@ -334,7 +334,8 @@ def test_example_size_must_be_an_integer():
 
 
 @pytest.mark.parametrize("kind, n", [
-    ("path", 10 ** 8), ("cycle", 5000), ("complete", 4097), ("hypercube", 10 ** 8)])
+    ("path", 10 ** 8), ("cycle", 5000), ("complete", 4097), ("hypercube", 10 ** 8),
+    ("symmetric_group", 2000)])
 def test_point_cap_applies_before_allocating(kind, n):
     # every kind is capped at 4096 points, and the refusal allocates nothing
     tracemalloc.start()
